@@ -85,6 +85,7 @@ fn series(n: usize) -> Vec<f64> {
 /// actually see (PQ factor rows ~10, pressure series ~64, and 1k/64k to
 /// expose the memory-bandwidth ceiling).
 fn bench_primitives(c: &mut Criterion) {
+    use bolt_bench::relaxed::dot_relaxed;
     use bolt_linalg::kernels::{self, reference};
     for n in [8usize, 64, 1024, 65_536] {
         let a = series(n);
@@ -96,7 +97,7 @@ fn bench_primitives(c: &mut Criterion) {
             bench.iter(|| black_box(kernels::dot(black_box(&a), black_box(&b))))
         });
         c.bench_function(&format!("dot_relaxed_{n}"), |bench| {
-            bench.iter(|| black_box(kernels::dot_relaxed(black_box(&a), black_box(&b))))
+            bench.iter(|| black_box(dot_relaxed(black_box(&a), black_box(&b))))
         });
     }
     // The weighted-Pearson interior: three covariance passes (old shape)

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
+use bolt_recommender::{HybridRecommender, RecommenderConfig, RecommenderStats, TrainingData};
 use bolt_workloads::{training::training_set, Resource};
 
 /// A two-tenant mixed observation over all ten dimensions, summed from two
@@ -61,7 +61,15 @@ fn bench_pair_pursuit(c: &mut Criterion) {
     c.bench_function("pair_pursuit_core_default", |b| {
         b.iter(|| {
             let d = pruned
-                .decompose_with_core(black_box(&core_obs), &uncore_obs, 0.35, 2)
+                .decompose_with_core(
+                    black_box(&core_obs),
+                    &uncore_obs,
+                    0.35,
+                    2,
+                    None,
+                    None,
+                    &mut RecommenderStats::default(),
+                )
                 .expect("decompose");
             black_box(d.len())
         })
@@ -69,7 +77,15 @@ fn bench_pair_pursuit(c: &mut Criterion) {
     c.bench_function("pair_pursuit_core_exhaustive", |b| {
         b.iter(|| {
             let d = exact
-                .decompose_with_core(black_box(&core_obs), &uncore_obs, 0.35, 2)
+                .decompose_with_core(
+                    black_box(&core_obs),
+                    &uncore_obs,
+                    0.35,
+                    2,
+                    None,
+                    None,
+                    &mut RecommenderStats::default(),
+                )
                 .expect("decompose");
             black_box(d.len())
         })

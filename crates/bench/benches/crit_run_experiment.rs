@@ -14,8 +14,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bolt::experiment::{run_experiment, run_experiment_telemetry, ExperimentConfig};
+use bolt::experiment::{run_experiment, run_experiment_cache_telemetry, ExperimentConfig};
 use bolt::parallel::Parallelism;
+use bolt::{FitCache, Telemetry};
 use bolt_sim::LeastLoaded;
 
 fn config(parallelism: Parallelism) -> ExperimentConfig {
@@ -32,24 +33,42 @@ fn bench_run_experiment(c: &mut Criterion) {
     c.bench_function("run_experiment_serial", |b| {
         let cfg = config(Parallelism::Serial);
         b.iter(|| {
-            let r = run_experiment(black_box(&cfg), &LeastLoaded).expect("experiment runs");
+            let r = run_experiment(
+                black_box(&cfg),
+                &LeastLoaded,
+                &FitCache::new(),
+                &mut Telemetry::disabled(),
+            )
+            .expect("experiment runs");
             black_box(r.records.len())
         })
     });
     c.bench_function("run_experiment_auto", |b| {
         let cfg = config(Parallelism::Auto);
         b.iter(|| {
-            let r = run_experiment(black_box(&cfg), &LeastLoaded).expect("experiment runs");
+            let r = run_experiment(
+                black_box(&cfg),
+                &LeastLoaded,
+                &FitCache::new(),
+                &mut Telemetry::disabled(),
+            )
+            .expect("experiment runs");
             black_box(r.records.len())
         })
     });
     c.bench_function("run_experiment_serial_telemetry_off", |b| {
-        // `run_experiment` IS the disabled-telemetry path (it delegates
-        // with recording off); benched under its own name so the disabled
-        // overhead is visible as serial-vs-this in the same report.
+        // `run_experiment` with a disabled handle IS the telemetry-off
+        // path; benched under its own name so the disabled overhead is
+        // visible as serial-vs-this in the same report.
         let cfg = config(Parallelism::Serial);
         b.iter(|| {
-            let r = run_experiment(black_box(&cfg), &LeastLoaded).expect("experiment runs");
+            let r = run_experiment(
+                black_box(&cfg),
+                &LeastLoaded,
+                &FitCache::new(),
+                &mut Telemetry::disabled(),
+            )
+            .expect("experiment runs");
             black_box(r.records.len())
         })
     });
@@ -57,7 +76,8 @@ fn bench_run_experiment(c: &mut Criterion) {
         let cfg = config(Parallelism::Serial);
         b.iter(|| {
             let (r, log) =
-                run_experiment_telemetry(black_box(&cfg), &LeastLoaded).expect("experiment runs");
+                run_experiment_cache_telemetry(black_box(&cfg), &LeastLoaded, &FitCache::new())
+                    .expect("experiment runs");
             black_box((r.records.len(), log.len()))
         })
     });

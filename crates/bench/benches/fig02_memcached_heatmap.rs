@@ -4,28 +4,23 @@
 //! Paper: very high L1-i plus high LLC pressure → memcached with high
 //! probability; any disk traffic rules it out.
 
-use bolt::fingerprint::{family_heatmap, family_heatmap_telemetry, population, FIG2_PAIRS};
+use bolt::fingerprint::{family_heatmap, population, FIG2_PAIRS};
 use bolt::report::Table;
 use bolt::telemetry::{telemetry_path_from_args, Telemetry, TelemetryLog};
 use bolt_bench::{emit, full_scale};
 
 fn main() {
     let telemetry_path = telemetry_path_from_args(std::env::args().skip(1));
-    let mut log = TelemetryLog::new();
+    let mut telemetry = Telemetry::recording(telemetry_path.is_some());
     let n = if full_scale() { 2000 } else { 600 };
     eprintln!("building a {n}-instance population...");
     let pop = population(n, 0xF162);
     let grid = 5;
 
     for (unit, (x, y)) in FIG2_PAIRS.into_iter().enumerate() {
-        let map = if telemetry_path.is_some() {
-            let mut telemetry = Telemetry::for_unit(unit);
-            let map = family_heatmap_telemetry(&pop, "memcached", x, y, grid, &mut telemetry);
-            log.merge(telemetry);
-            map
-        } else {
-            family_heatmap(&pop, "memcached", x, y, grid)
-        };
+        let mut pair = telemetry.unit(unit);
+        let map = family_heatmap(&pop, "memcached", x, y, grid, &mut pair);
+        telemetry.extend(pair.into_events());
         let mut table = Table::new(vec![
             format!("{y} \\ {x}"),
             format!("{:.0}", map.center(0)),
@@ -51,7 +46,14 @@ fn main() {
     // Headline checks: the high-L1i half of the map carries the memcached
     // mass (the LLC coordinate spreads with value size and load level, so
     // quadrants are compared in aggregate rather than single cells).
-    let l1i_llc = family_heatmap(&pop, "memcached", FIG2_PAIRS[0].0, FIG2_PAIRS[0].1, grid);
+    let l1i_llc = family_heatmap(
+        &pop,
+        "memcached",
+        FIG2_PAIRS[0].0,
+        FIG2_PAIRS[0].1,
+        grid,
+        &mut Telemetry::disabled(),
+    );
     let half = |lo: bool| -> f64 {
         let cols: Vec<usize> = if lo {
             (0..grid / 2).collect()
@@ -83,6 +85,7 @@ fn main() {
         bolt_workloads::Resource::DiskBw,
         bolt_workloads::Resource::L2,
         grid,
+        &mut Telemetry::disabled(),
     );
     println!(
         "P(memcached | zero disk)={:.2} vs P(memcached | heavy disk)={:.2} — {}",
@@ -96,6 +99,7 @@ fn main() {
     );
 
     if let Some(path) = telemetry_path {
+        let log = TelemetryLog::from_events(telemetry.into_events());
         match log.write_jsonl(&path) {
             Ok(()) => println!("telemetry: {}", path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),

@@ -10,17 +10,14 @@
 use bolt::experiment::ExperimentConfig;
 use bolt::parallel::Parallelism;
 use bolt::report::{pct, Table};
-use bolt::sensitivity::{
-    adversary_size_sweep_cache_telemetry, benchmark_count_sweep_cache_telemetry,
-    profiling_interval_sweep_cache_telemetry,
-};
-use bolt::telemetry::{telemetry_path_from_args, TelemetryLog};
+use bolt::sensitivity::{adversary_size_sweep, benchmark_count_sweep, profiling_interval_sweep};
+use bolt::telemetry::{telemetry_path_from_args, Telemetry, TelemetryLog};
 use bolt::FitCache;
 use bolt_bench::{emit, full_scale};
 
 fn main() {
     let telemetry_path = telemetry_path_from_args(std::env::args().skip(1));
-    let mut log = TelemetryLog::new();
+    let mut telemetry = Telemetry::recording(telemetry_path.is_some());
     // One cache across all three sweeps: every point that shares training
     // inputs (all of fig10b/fig10c, and fig10a's phased scenes) reuses the
     // first point's trained recommender.
@@ -42,16 +39,16 @@ fn main() {
     // (a) profiling interval, against a victim switching jobs (~60 s).
     eprintln!("sweeping profiling intervals...");
     let intervals = [5.0, 20.0, 60.0, 120.0, 300.0];
-    let (points, interval_log) = profiling_interval_sweep_cache_telemetry(
+    let points = profiling_interval_sweep(
         &intervals,
         60.0,
         900.0,
         0xF16A,
         Parallelism::Auto,
         &cache,
+        &mut telemetry,
     )
     .expect("interval sweep runs");
-    log.extend(interval_log.into_events());
     let mut a = Table::new(vec!["interval (s)", "paper", "measured accuracy"]);
     let paper_a = ["~90%", "~88%", "~75%", "~65%", "~50%"];
     for (i, p) in points.iter().enumerate() {
@@ -84,9 +81,8 @@ fn main() {
     // (b) adversarial VM size.
     eprintln!("sweeping adversarial VM sizes...");
     let sizes = [1u32, 2, 4, 8];
-    let (points, size_log) =
-        adversary_size_sweep_cache_telemetry(&base, &sizes, &cache).expect("size sweep runs");
-    log.extend(size_log.into_events());
+    let points =
+        adversary_size_sweep(&base, &sizes, &cache, &mut telemetry).expect("size sweep runs");
     let mut b = Table::new(vec!["adversary vCPUs", "paper", "measured accuracy"]);
     let paper_b = ["~35%", "~60%", "~87%", "~90%"];
     for (i, p) in points.iter().enumerate() {
@@ -105,9 +101,8 @@ fn main() {
     // (c) number of profiling benchmarks.
     eprintln!("sweeping benchmark counts...");
     let counts = [1usize, 2, 3, 5, 8];
-    let (points, count_log) =
-        benchmark_count_sweep_cache_telemetry(&base, &counts, &cache).expect("count sweep runs");
-    log.extend(count_log.into_events());
+    let points =
+        benchmark_count_sweep(&base, &counts, &cache, &mut telemetry).expect("count sweep runs");
     let mut c = Table::new(vec!["benchmarks", "paper", "measured accuracy"]);
     let paper_c = ["~55%", "~87%", "~89%", "~90%", "~90%"];
     for (i, p) in points.iter().enumerate() {
@@ -134,6 +129,7 @@ fn main() {
     );
 
     if let Some(path) = telemetry_path {
+        let log = TelemetryLog::from_events(telemetry.into_events());
         match log.write_jsonl(&path) {
             Ok(()) => println!("telemetry: {}", path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),

@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use bolt::report::Table;
 use bolt_bench::emit;
+use bolt_bench::relaxed::dot_relaxed;
 use bolt_linalg::kernels::{self, reference};
 
 /// Deterministic sign/magnitude-mixed series (no RNG: identical data
@@ -72,7 +73,7 @@ fn main() {
         let iters = (4_000_000 / n.max(1)).clamp(200, 400_000);
         let scalar = time_ns(iters, || reference::dot(black_box(&a), black_box(&b)));
         let bitexact = time_ns(iters, || kernels::dot(black_box(&a), black_box(&b)));
-        let relaxed = time_ns(iters, || kernels::dot_relaxed(black_box(&a), black_box(&b)));
+        let relaxed = time_ns(iters, || dot_relaxed(black_box(&a), black_box(&b)));
         let bx_speedup = scalar / bitexact;
         let rx_speedup = scalar / relaxed;
         if n == 1024 {

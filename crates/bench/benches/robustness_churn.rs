@@ -10,9 +10,9 @@
 //! confidently mislabeling through the noise.
 
 use bolt::report::{pct, Table};
-use bolt::robustness::churn_sweep_cache_telemetry;
+use bolt::robustness::churn_sweep;
 use bolt::telemetry::telemetry_path_from_args;
-use bolt::{ExperimentConfig, FitCache};
+use bolt::{ExperimentConfig, FitCache, TelemetryLog};
 use bolt_bench::{emit, full_scale};
 use bolt_sim::LeastLoaded;
 
@@ -44,9 +44,10 @@ fn main() {
     );
     // Churn never perturbs the training inputs, so one cache turns the
     // five-intensity sweep into a single recommender fit.
-    let (points, log) =
-        churn_sweep_cache_telemetry(&base, &LeastLoaded, &intensities, &FitCache::new())
-            .expect("sweep runs");
+    let (points, log) = TelemetryLog::record(|t| {
+        churn_sweep(&base, &LeastLoaded, &intensities, &FitCache::new(), t)
+    })
+    .expect("sweep runs");
 
     let mut table = Table::new(vec![
         "intensity",

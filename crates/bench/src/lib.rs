@@ -11,6 +11,8 @@ use std::path::PathBuf;
 
 use bolt::report::Table;
 
+pub mod relaxed;
+
 /// Directory where benches drop their CSVs (workspace-root relative).
 pub fn results_dir() -> PathBuf {
     let root = std::env::var("CARGO_MANIFEST_DIR")

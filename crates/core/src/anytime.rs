@@ -393,21 +393,21 @@ impl Detector {
                 let decomp_clock = telemetry.begin();
                 components = if core_usable && core_obs.len() >= 2 {
                     let float = world.cluster().isolation().float_visibility();
-                    self.recommender.decompose_with_core_warm(
+                    self.recommender.decompose_with_core(
                         &core_obs,
                         &uncore_obs,
                         float,
                         max_components,
                         mrc_observed,
-                        &mut warm,
+                        Some(&mut warm),
                         &mut stats,
                     )?
                 } else if uncore_obs.len() >= 2 {
-                    self.recommender.decompose_mixture_warm(
+                    self.recommender.decompose(
                         &uncore_obs,
                         max_components,
                         mrc_observed,
-                        &mut warm,
+                        Some(&mut warm),
                         &mut stats,
                     )?
                 } else {

@@ -104,42 +104,17 @@ impl Default for CoResidencyConfig {
 /// — used only to read the receiver-visible latency, as the external ping
 /// would).
 ///
-/// # Errors
-///
-/// Returns [`BoltError::InvalidExperiment`] if more probes than servers
-/// are requested; propagates simulator errors.
-pub fn hunt<R: Rng>(
-    cluster: &mut Cluster,
-    detector: &Detector,
-    target_vm: VmId,
-    target_family: &str,
-    config: &CoResidencyConfig,
-    start_t: f64,
-    rng: &mut R,
-) -> Result<CoResidencyOutcome, BoltError> {
-    hunt_telemetry(
-        cluster,
-        detector,
-        target_vm,
-        target_family,
-        config,
-        start_t,
-        rng,
-        &mut Telemetry::disabled(),
-    )
-}
-
-/// Same as [`hunt`], recording into `telemetry`: the detection pipeline
-/// events of every probe's profiling pass, an [`Phase::AttackExecution`]
-/// span over the whole hunt, and the probe fleet's launch/terminate
-/// events (drained only when telemetry is enabled).
+/// Records into `telemetry`: the detection pipeline events of every
+/// probe's profiling pass, an [`Phase::AttackExecution`] span over the
+/// whole hunt, and the probe fleet's launch/terminate events (drained only
+/// when telemetry is enabled).
 ///
 /// # Errors
 ///
 /// Returns [`BoltError::InvalidExperiment`] if more probes than servers
 /// are requested; propagates simulator errors.
 #[allow(clippy::too_many_arguments)]
-pub fn hunt_telemetry<R: Rng>(
+pub fn hunt<R: Rng>(
     cluster: &mut Cluster,
     detector: &Detector,
     target_vm: VmId,
@@ -187,7 +162,7 @@ pub fn hunt_telemetry<R: Rng>(
     let mut candidates = Vec::new();
     let mut slowest = 0.0f64;
     for &(server, probe) in &probes {
-        let detection = detector.detect_telemetry(cluster, probe, elapsed, rng, telemetry)?;
+        let detection = detector.detect(cluster, probe, elapsed, None, rng, telemetry)?;
         slowest = slowest.max(detection.duration_s);
         // Degraded or shaky fingerprints are not worth a confirmation
         // round; the host stays unconfirmed and a later fleet retries it.
@@ -345,6 +320,7 @@ mod tests {
                 &config,
                 round as f64 * 150.0,
                 &mut rng,
+                &mut Telemetry::disabled(),
             )
             .unwrap();
             assert_eq!(outcome.probed_servers.len(), 12);
@@ -371,7 +347,17 @@ mod tests {
             min_confidence: 1.1, // confidence is clamped to [0, 1]
             ..CoResidencyConfig::default()
         };
-        let outcome = hunt(&mut cluster, &det, victim, "mysql", &config, 0.0, &mut rng).unwrap();
+        let outcome = hunt(
+            &mut cluster,
+            &det,
+            victim,
+            "mysql",
+            &config,
+            0.0,
+            &mut rng,
+            &mut Telemetry::disabled(),
+        )
+        .unwrap();
         assert!(outcome.candidate_servers.is_empty());
         assert!(outcome.confirmed_server.is_none());
         assert_eq!(outcome.latency_ratio(), 1.0);
@@ -387,7 +373,16 @@ mod tests {
             ..CoResidencyConfig::default()
         };
         assert!(matches!(
-            hunt(&mut cluster, &det, victim, "mysql", &config, 0.0, &mut rng),
+            hunt(
+                &mut cluster,
+                &det,
+                victim,
+                "mysql",
+                &config,
+                0.0,
+                &mut rng,
+                &mut Telemetry::disabled()
+            ),
             Err(BoltError::InvalidExperiment { .. })
         ));
     }
@@ -401,7 +396,17 @@ mod tests {
             probes: 12,
             ..CoResidencyConfig::default()
         };
-        let outcome = hunt(&mut cluster, &det, victim, "mysql", &config, 0.0, &mut rng).unwrap();
+        let outcome = hunt(
+            &mut cluster,
+            &det,
+            victim,
+            "mysql",
+            &config,
+            0.0,
+            &mut rng,
+            &mut Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(outcome.probes_launched, 12);
         assert_eq!(outcome.vms_used, 13);
         assert!(outcome.elapsed_s > 0.0);

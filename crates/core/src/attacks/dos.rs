@@ -193,42 +193,18 @@ impl Default for DosRunConfig {
 /// loaded host (performance degrades further during the move, then
 /// recovers).
 ///
-/// # Errors
-///
-/// Propagates [`BoltError`] for unknown VMs; a failed migration (full
-/// cluster) leaves the victim in place, as in a real operator's retry loop.
-pub fn run_dos<R: Rng>(
-    cluster: &mut Cluster,
-    attacker: VmId,
-    victim: VmId,
-    attack: PressureVector,
-    config: &DosRunConfig,
-    rng: &mut R,
-) -> Result<DosTimeline, BoltError> {
-    run_dos_telemetry(
-        cluster,
-        attacker,
-        victim,
-        attack,
-        config,
-        rng,
-        &mut Telemetry::disabled(),
-    )
-}
-
-/// Same as [`run_dos`], recording into `telemetry`: an
-/// [`Phase::AttackExecution`] span over the whole run, one
-/// [`Counter::MigrationsTriggered`] tick whenever the defense moves the
-/// victim, a [`Counter::ProbeSamples`] total for the per-second
-/// utilization samples, and the cluster's migration events (drained only
-/// when telemetry is enabled).
+/// Records into `telemetry`: an [`Phase::AttackExecution`] span over the
+/// whole run, one [`Counter::MigrationsTriggered`] tick whenever the
+/// defense moves the victim, a [`Counter::ProbeSamples`] total for the
+/// per-second utilization samples, and the cluster's migration events
+/// (drained only when telemetry is enabled).
 ///
 /// # Errors
 ///
 /// Propagates [`BoltError`] for unknown VMs; a failed migration (full
 /// cluster) leaves the victim in place, as in a real operator's retry loop.
 #[allow(clippy::too_many_arguments)]
-pub fn run_dos_telemetry<R: Rng>(
+pub fn run_dos<R: Rng>(
     cluster: &mut Cluster,
     attacker: VmId,
     victim: VmId,
@@ -432,6 +408,7 @@ mod tests {
             attack,
             &DosRunConfig::default(),
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         assert!(
@@ -453,6 +430,7 @@ mod tests {
             naive_attack(),
             &DosRunConfig::default(),
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         assert!(
@@ -487,6 +465,7 @@ mod tests {
             craft_attack_from_profile(&victim_pressure),
             &DosRunConfig::default(),
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         let (mut c2, a2, v2, _) = setup();
@@ -497,6 +476,7 @@ mod tests {
             naive_attack(),
             &DosRunConfig::default(),
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         assert!(bolt.final_amplification(baseline) > naive.final_amplification(baseline) * 2.0);
@@ -517,6 +497,7 @@ mod tests {
             naive_attack(),
             &config,
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         assert_eq!(timeline.samples.len(), 30);

@@ -85,35 +85,15 @@ pub struct RfaOutcome {
 /// host, measures the beneficiary's slowdown with the helper off and on,
 /// and the victim's degradation.
 ///
+/// Records into `telemetry`: an [`Phase::AttackExecution`] span over the
+/// run, a gauge of the helper's pressure on the victim's dominant
+/// resource, and the cluster's launch/terminate events (drained only when
+/// telemetry is enabled).
+///
 /// # Errors
 ///
 /// Propagates [`BoltError`] from the simulator.
 pub fn run_rfa<R: Rng>(
-    cluster: &mut Cluster,
-    server: usize,
-    victim_profile: WorkloadProfile,
-    beneficiary_profile: WorkloadProfile,
-    rng: &mut R,
-) -> Result<RfaOutcome, BoltError> {
-    run_rfa_telemetry(
-        cluster,
-        server,
-        victim_profile,
-        beneficiary_profile,
-        rng,
-        &mut Telemetry::disabled(),
-    )
-}
-
-/// Same as [`run_rfa`], recording into `telemetry`: an
-/// [`Phase::AttackExecution`] span over the run, a gauge of the helper's
-/// pressure on the victim's dominant resource, and the cluster's
-/// launch/terminate events (drained only when telemetry is enabled).
-///
-/// # Errors
-///
-/// Propagates [`BoltError`] from the simulator.
-pub fn run_rfa_telemetry<R: Rng>(
     cluster: &mut Cluster,
     server: usize,
     victim_profile: WorkloadProfile,
@@ -295,7 +275,15 @@ mod tests {
             &mut r,
         )
         .with_vcpus(8);
-        let outcome = run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r).unwrap();
+        let outcome = run_rfa(
+            &mut c,
+            0,
+            victim,
+            mcf(&mut r),
+            &mut r,
+            &mut Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(outcome.target_resource, Resource::MemBw);
         assert!(
             outcome.victim_delta < -0.15,
@@ -315,7 +303,15 @@ mod tests {
         let mut c = cluster();
         let victim = catalog::webserver::profile(&catalog::webserver::Variant::Dynamic, &mut r)
             .with_vcpus(8);
-        let outcome = run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r).unwrap();
+        let outcome = run_rfa(
+            &mut c,
+            0,
+            victim,
+            mcf(&mut r),
+            &mut r,
+            &mut Telemetry::disabled(),
+        )
+        .unwrap();
         assert!(
             outcome.victim_delta < -0.1,
             "webserver QPS should fall, got {}",
@@ -333,7 +329,15 @@ mod tests {
             bolt_workloads::DatasetScale::Medium,
             &mut r,
         );
-        run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r).unwrap();
+        run_rfa(
+            &mut c,
+            0,
+            victim,
+            mcf(&mut r),
+            &mut r,
+            &mut Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(c.vm_ids().count(), before);
     }
 }

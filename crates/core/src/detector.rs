@@ -424,77 +424,26 @@ impl Detector {
     }
 
     /// Runs one detection iteration from `adversary`'s position at time
-    /// `t`, applying the §3.3 disentangling moves when the first
-    /// recommendation fails to match.
+    /// `t` against a fixed cluster, applying the §3.3 disentangling moves
+    /// when the first recommendation fails to match.
+    ///
+    /// `baseline` is an optional observation sweep from a *previous*
+    /// iteration. Differencing against a minutes-old baseline sees slow
+    /// load drift (diurnal services) that the within-iteration gap cannot,
+    /// which is what breaks stable mixture ambiguities over the iterative
+    /// detection loop.
+    ///
+    /// Records into `telemetry` at the pipeline phases: the probe sweep
+    /// (snapshot + widening + second sweep), content matching, mixture
+    /// decomposition, the shutter fallback, and the plain-recommendation
+    /// (SGD completion) fallback, plus probe-sample counts and
+    /// per-resource pressure gauges.
     ///
     /// # Errors
     ///
     /// Returns [`BoltError`] if the adversary VM is unknown or the
     /// numerical pipeline rejects the signal.
     pub fn detect<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        t: f64,
-        rng: &mut R,
-    ) -> Result<Detection, BoltError> {
-        self.detect_with_baseline(cluster, adversary, t, None, rng)
-    }
-
-    /// [`Detector::detect`], recording phase spans, probe-sample counts,
-    /// and per-resource pressure gauges into `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::detect`].
-    pub fn detect_telemetry<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        t: f64,
-        rng: &mut R,
-        telemetry: &mut Telemetry,
-    ) -> Result<Detection, BoltError> {
-        self.detect_with_baseline_telemetry(cluster, adversary, t, None, rng, telemetry)
-    }
-
-    /// Like [`Detector::detect`], with an optional observation sweep from a
-    /// *previous* iteration. Differencing against a minutes-old baseline
-    /// sees slow load drift (diurnal services) that the within-iteration
-    /// gap cannot, which is what breaks stable mixture ambiguities over
-    /// the iterative detection loop.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::detect`].
-    pub fn detect_with_baseline<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        t: f64,
-        baseline: Option<&[(bolt_workloads::Resource, f64)]>,
-        rng: &mut R,
-    ) -> Result<Detection, BoltError> {
-        self.detect_with_baseline_telemetry(
-            cluster,
-            adversary,
-            t,
-            baseline,
-            rng,
-            &mut Telemetry::disabled(),
-        )
-    }
-
-    /// [`Detector::detect_with_baseline`] with telemetry recording. The
-    /// instrumentation points are the pipeline phases: the probe sweep
-    /// (snapshot + widening + second sweep), content matching, mixture
-    /// decomposition, the shutter fallback, and the plain-recommendation
-    /// (SGD completion) fallback.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::detect`].
-    pub fn detect_with_baseline_telemetry<R: Rng>(
         &self,
         cluster: &Cluster,
         adversary: VmId,
@@ -527,7 +476,7 @@ impl Detector {
     /// Same conditions as [`Detector::detect`], plus simulator errors from
     /// applying the fault plan.
     #[allow(clippy::too_many_arguments)]
-    pub fn detect_churn_telemetry<R: Rng>(
+    pub fn detect_churn<R: Rng>(
         &self,
         cluster: &mut Cluster,
         plan: &mut FaultPlan,
@@ -552,9 +501,10 @@ impl Detector {
         )
     }
 
-    /// The shared window pipeline behind both `detect*` families. The
-    /// `Fixed` world keeps every chaos hook a no-op so the legacy paths
-    /// stay byte-identical; the `Live` world mutates between sweeps.
+    /// The shared window pipeline behind [`Detector::detect`] and
+    /// [`Detector::detect_churn`]. The `Fixed` world keeps every chaos
+    /// hook a no-op so fixed-cluster windows stay byte-identical; the
+    /// `Live` world mutates between sweeps.
     /// With [`DetectorConfig::anytime`] set, the fixed-shape pipeline is
     /// replaced wholesale by the iterative-deepening window in
     /// [`crate::anytime`].
@@ -830,20 +780,21 @@ impl Detector {
         let decomp_clock = telemetry.begin();
         let components = if core_usable && core_obs.len() >= 2 {
             let float = world.cluster().isolation().float_visibility();
-            self.recommender.decompose_with_core_mrc(
+            self.recommender.decompose_with_core(
                 &core_obs,
                 &uncore_obs,
                 float,
                 max_components,
                 mrc_observed,
+                None,
                 &mut rec_stats,
             )?
         } else if uncore_obs.len() >= 2 {
-            self.recommender.decompose_mixture_mrc(
+            self.recommender.decompose(
                 &uncore_obs,
-                &[],
                 max_components,
                 mrc_observed,
+                None,
                 &mut rec_stats,
             )?
         } else {
@@ -1010,39 +961,13 @@ impl Detector {
     /// last) detection and the number of iterations used — the quantity
     /// Fig. 7 histograms.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`BoltError`] from [`Detector::detect`].
-    pub fn detect_until<R, F>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        start_t: f64,
-        accept: F,
-        rng: &mut R,
-    ) -> Result<(Detection, usize), BoltError>
-    where
-        R: Rng,
-        F: FnMut(&Detection) -> bool,
-    {
-        self.detect_until_telemetry(
-            cluster,
-            adversary,
-            start_t,
-            accept,
-            rng,
-            &mut Telemetry::disabled(),
-        )
-    }
-
-    /// [`Detector::detect_until`] with telemetry recording: every
-    /// iteration contributes its inner phase spans plus one
+    /// Every iteration records its inner phase spans plus one
     /// [`Phase::DetectionIteration`] span covering the whole iteration.
     ///
     /// # Errors
     ///
     /// Propagates [`BoltError`] from [`Detector::detect`].
-    pub fn detect_until_telemetry<R, F>(
+    pub fn hunt<R, F>(
         &self,
         cluster: &Cluster,
         adversary: VmId,
@@ -1060,14 +985,7 @@ impl Detector {
         for i in 0..self.config.max_iterations.max(1) {
             let t = start_t + i as f64 * self.config.interval_s;
             let iteration_clock = telemetry.begin();
-            let d = self.detect_with_baseline_telemetry(
-                cluster,
-                adversary,
-                t,
-                baseline.as_deref(),
-                rng,
-                telemetry,
-            )?;
+            let d = self.detect(cluster, adversary, t, baseline.as_deref(), rng, telemetry)?;
             telemetry.span(Phase::DetectionIteration, t, d.duration_s, iteration_clock);
             let done = accept(&d);
             if !d.sweep.is_empty() {
@@ -1081,25 +999,10 @@ impl Detector {
         Ok(last.expect("at least one iteration ran"))
     }
 
-    /// [`Detector::detect_until`] against a churning cluster: the
-    /// [`FaultPlan`] keeps injecting faults while the hunt runs, and
-    /// windows the validity screen flags (churn mid-window, blacked-out
-    /// probes) are discarded and re-probed after a backoff instead of
-    /// being trusted. Retries do not consume Fig. 7 iterations; they are
-    /// bounded by `policy.max_retries` and by `policy.probe_budget_s` of
-    /// total probe-plus-backoff time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BoltError`] from [`Detector::detect`], plus
-    /// [`BoltError::DetectionAborted`] when the retry budget runs out
-    /// with `policy.abort_on_exhaustion` set.
-    #[allow(clippy::too_many_arguments)]
-    pub fn detect_until_churn<R, F>(
+    /// [`Detector::hunt`] with telemetry off; kept because `perfbench/` calls it.
+    pub fn detect_until<R, F>(
         &self,
-        cluster: &mut Cluster,
-        plan: &mut FaultPlan,
-        policy: &RetryPolicy,
+        cluster: &Cluster,
         adversary: VmId,
         start_t: f64,
         accept: F,
@@ -1109,10 +1012,8 @@ impl Detector {
         R: Rng,
         F: FnMut(&Detection) -> bool,
     {
-        self.detect_until_churn_telemetry(
+        self.hunt(
             cluster,
-            plan,
-            policy,
             adversary,
             start_t,
             accept,
@@ -1121,50 +1022,34 @@ impl Detector {
         )
     }
 
-    /// [`Detector::detect_until_churn`] with telemetry recording. On top
-    /// of the per-window phase spans, every discarded window increments
-    /// [`Counter::WindowsDiscarded`], every re-probe increments
+    /// [`Detector::hunt`] against a churning cluster: the [`FaultPlan`]
+    /// keeps injecting faults while the hunt runs, and windows the
+    /// validity screen flags (churn mid-window, blacked-out probes) are
+    /// discarded and re-probed after a backoff instead of being trusted.
+    /// Retries do not consume Fig. 7 iterations; they are bounded by
+    /// `policy.max_retries` and by `policy.probe_budget_s` of total
+    /// probe-plus-backoff time.
+    ///
+    /// Returns the detection, the iterations used, and the total virtual
+    /// time the hunt consumed — probe windows, retry backoffs, and
+    /// inter-iteration intervals included — measured from `start_t` to the
+    /// end of the last window. The service loop charges that time against
+    /// the request's deadline; `Detection::duration_s` alone covers only
+    /// the final window.
+    ///
+    /// On top of the per-window phase spans, every discarded window
+    /// increments [`Counter::WindowsDiscarded`], every re-probe increments
     /// [`Counter::DetectionRetries`], and the chaos engine's cluster
-    /// events (arrivals, departures, migrations, degradations) are
-    /// drained into the trace after each window.
+    /// events (arrivals, departures, migrations, degradations) are drained
+    /// into the trace after each window.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Detector::detect_until_churn`].
+    /// Propagates [`BoltError`] from [`Detector::detect`], plus
+    /// [`BoltError::DetectionAborted`] when the retry budget runs out
+    /// with `policy.abort_on_exhaustion` set.
     #[allow(clippy::too_many_arguments)]
-    pub fn detect_until_churn_telemetry<R, F>(
-        &self,
-        cluster: &mut Cluster,
-        plan: &mut FaultPlan,
-        policy: &RetryPolicy,
-        adversary: VmId,
-        start_t: f64,
-        accept: F,
-        rng: &mut R,
-        telemetry: &mut Telemetry,
-    ) -> Result<(Detection, usize), BoltError>
-    where
-        R: Rng,
-        F: FnMut(&Detection) -> bool,
-    {
-        self.detect_until_churn_elapsed_telemetry(
-            cluster, plan, policy, adversary, start_t, accept, rng, telemetry,
-        )
-        .map(|(d, iterations, _)| (d, iterations))
-    }
-
-    /// [`Detector::detect_until_churn_telemetry`], additionally returning
-    /// the total virtual time the hunt consumed — probe windows, retry
-    /// backoffs, and inter-iteration intervals included — measured from
-    /// `start_t` to the end of the last window. The service loop charges
-    /// this against the request's deadline; `Detection::duration_s` alone
-    /// covers only the final window.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::detect_until_churn`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn detect_until_churn_elapsed_telemetry<R, F>(
+    pub fn hunt_churn<R, F>(
         &self,
         cluster: &mut Cluster,
         plan: &mut FaultPlan,
@@ -1196,7 +1081,7 @@ impl Detector {
         let mut accepted = false;
         while i < self.config.max_iterations.max(1) {
             let iteration_clock = telemetry.begin();
-            let mut d = self.detect_churn_telemetry(
+            let mut d = self.detect_churn(
                 cluster,
                 plan,
                 window,
@@ -1313,7 +1198,7 @@ impl Detector {
         let mut out = Vec::new();
         let mut t = start_t;
         while t < start_t + horizon_s {
-            let d = self.detect(cluster, adversary, t, rng)?;
+            let d = self.detect(cluster, adversary, t, None, rng, &mut Telemetry::disabled())?;
             out.push(PhaseSample {
                 time_s: t,
                 label: d.label().cloned(),
@@ -1406,7 +1291,16 @@ mod tests {
             ),
         );
         let (cluster, adv) = cluster_with_victims(vec![victim], &mut r);
-        let d = detector().detect(&cluster, adv, 30.0, &mut r).unwrap();
+        let d = detector()
+            .detect(
+                &cluster,
+                adv,
+                30.0,
+                None,
+                &mut r,
+                &mut Telemetry::disabled(),
+            )
+            .unwrap();
         assert!(
             d.matches_characteristics(&truth),
             "no verdict matched truth {truth}; primary: {:?}",
@@ -1418,7 +1312,9 @@ mod tests {
     fn empty_host_yields_no_confident_label() {
         let mut r = rng();
         let (cluster, adv) = cluster_with_victims(vec![], &mut r);
-        let d = detector().detect(&cluster, adv, 0.0, &mut r).unwrap();
+        let d = detector()
+            .detect(&cluster, adv, 0.0, None, &mut r, &mut Telemetry::disabled())
+            .unwrap();
         // Nothing co-scheduled: no verdicts at all.
         assert!(
             d.verdicts.is_empty(),
@@ -1467,7 +1363,9 @@ mod tests {
         let mut r = rng();
         let victim = catalog::cassandra::profile(&catalog::cassandra::Variant::Mixed, &mut r);
         let (cluster, adv) = cluster_with_victims(vec![victim], &mut r);
-        let d = detector().detect(&cluster, adv, 0.0, &mut r).unwrap();
+        let d = detector()
+            .detect(&cluster, adv, 0.0, None, &mut r, &mut Telemetry::disabled())
+            .unwrap();
         // One full sweep plus the temporal-differencing sweep and gap.
         assert!(d.duration_s > 0.0 && d.duration_s < 120.0);
     }
@@ -1525,44 +1423,55 @@ mod tests {
         (cluster, adv, StdRng::seed_from_u64(0xB0FF))
     }
 
+    /// Runs a never-accepting churn hunt from `t = 30` on a fresh
+    /// [`churn_setup`] whose plan faults in `pattern`, under a budget of
+    /// `max_iterations`; returns the final detection, the iterations used,
+    /// and every recorded event.
+    fn churn_hunt(
+        max_iterations: usize,
+        pattern: &[Option<ProbeFaultKind>],
+        policy: &RetryPolicy,
+    ) -> Result<(Detection, usize, Vec<TelemetryEvent>), BoltError> {
+        let (mut cluster, adv, mut r) = churn_setup();
+        let mut plan = fault_plan_matching(pattern);
+        let config = DetectorConfig {
+            max_iterations,
+            ..DetectorConfig::default()
+        };
+        let det = Detector::new(detector().recommender_arc(), config);
+        let mut telemetry = Telemetry::for_unit(0);
+        let (d, iterations, _) = det.hunt_churn(
+            &mut cluster,
+            &mut plan,
+            policy,
+            adv,
+            30.0,
+            |_| false,
+            &mut r,
+            &mut telemetry,
+        )?;
+        Ok((d, iterations, telemetry.into_events()))
+    }
+
     #[test]
     fn clean_window_resets_the_backoff() {
         // Windows: blackout → clean → blackout. The second retry must wait
         // `initial_backoff_s` again, not the doubled backoff the first
         // burst left behind.
-        let (mut cluster, adv, mut r) = churn_setup();
-        let mut plan = fault_plan_matching(&[
+        let pattern = [
             Some(ProbeFaultKind::Blackout),
             None,
             Some(ProbeFaultKind::Blackout),
             None,
-        ]);
-        let det = Detector::new(
-            detector().recommender_arc(),
-            DetectorConfig {
-                max_iterations: 2,
-                ..DetectorConfig::default()
-            },
-        );
+        ];
         let policy = RetryPolicy {
             max_retries: 4,
             initial_backoff_s: 15.0,
             backoff_mult: 2.0,
             ..RetryPolicy::default()
         };
-        let mut telemetry = Telemetry::for_unit(0);
-        det.detect_until_churn_telemetry(
-            &mut cluster,
-            &mut plan,
-            &policy,
-            adv,
-            30.0,
-            |_| false,
-            &mut r,
-            &mut telemetry,
-        )
-        .unwrap();
-        let spans = window_spans(&telemetry.into_events());
+        let (_, _, events) = churn_hunt(2, &pattern, &policy).unwrap();
+        let spans = window_spans(&events);
         assert_eq!(spans.len(), 4, "2 iterations + 2 retries");
         let (s0, d0) = spans[0];
         let (s1, d1) = spans[1];
@@ -1580,6 +1489,7 @@ mod tests {
 
     #[test]
     fn budget_boundary_is_inclusive() {
+        // One iteration only: both windows of the pattern, nothing after.
         let pattern = [
             Some(ProbeFaultKind::Blackout),
             Some(ProbeFaultKind::Blackout),
@@ -1589,55 +1499,19 @@ mod tests {
             initial_backoff_s: 10.0,
             ..RetryPolicy::default()
         };
-        // One iteration only: both windows of the pattern, nothing after.
-        let det = Detector::new(
-            detector().recommender_arc(),
-            DetectorConfig {
-                max_iterations: 1,
-                ..DetectorConfig::default()
-            },
-        );
         // First pass: unlimited budget, to learn the window's probe cost.
-        let (mut cluster, adv, mut r) = churn_setup();
-        let mut plan = fault_plan_matching(&pattern);
-        let mut telemetry = Telemetry::for_unit(0);
-        det.detect_until_churn_telemetry(
-            &mut cluster,
-            &mut plan,
-            &policy,
-            adv,
-            30.0,
-            |_| false,
-            &mut r,
-            &mut telemetry,
-        )
-        .unwrap();
-        let spans = window_spans(&telemetry.into_events());
+        let (_, _, events) = churn_hunt(1, &pattern, &policy).unwrap();
+        let spans = window_spans(&events);
         assert_eq!(spans.len(), 2, "one retry under an unlimited budget");
         let d0 = spans[0].1;
 
         // Second pass: a budget of exactly probe-cost + backoff. The
         // boundary is inclusive, so the retry must still happen.
-        let (mut cluster, adv, mut r) = churn_setup();
-        let mut plan = fault_plan_matching(&pattern);
         let exact = RetryPolicy {
             probe_budget_s: d0 + 10.0,
             ..policy
         };
-        let mut telemetry = Telemetry::for_unit(0);
-        let (d, _) = det
-            .detect_until_churn_telemetry(
-                &mut cluster,
-                &mut plan,
-                &exact,
-                adv,
-                30.0,
-                |_| false,
-                &mut r,
-                &mut telemetry,
-            )
-            .unwrap();
-        let events = telemetry.into_events();
+        let (d, _, events) = churn_hunt(1, &pattern, &exact).unwrap();
         assert_eq!(
             window_spans(&events).len(),
             2,
@@ -1648,58 +1522,22 @@ mod tests {
         assert_eq!(d.degraded, Some(DegradedReason::BudgetExhausted));
 
         // Just under the exact cost, the retry is no longer affordable.
-        let (mut cluster, adv, mut r) = churn_setup();
-        let mut plan = fault_plan_matching(&pattern);
         let under = RetryPolicy {
             probe_budget_s: d0 + 10.0 - 1e-6,
             ..policy
         };
-        let mut telemetry = Telemetry::for_unit(0);
-        let (d, _) = det
-            .detect_until_churn_telemetry(
-                &mut cluster,
-                &mut plan,
-                &under,
-                adv,
-                30.0,
-                |_| false,
-                &mut r,
-                &mut telemetry,
-            )
-            .unwrap();
-        assert_eq!(window_spans(&telemetry.into_events()).len(), 1);
+        let (d, _, events) = churn_hunt(1, &pattern, &under).unwrap();
+        assert_eq!(window_spans(&events).len(), 1);
         assert_eq!(d.degraded, Some(DegradedReason::BudgetExhausted));
     }
 
     #[test]
     fn zero_retries_degrade_without_reprobing() {
-        let (mut cluster, adv, mut r) = churn_setup();
-        let mut plan = fault_plan_matching(&[Some(ProbeFaultKind::Blackout)]);
-        let det = Detector::new(
-            detector().recommender_arc(),
-            DetectorConfig {
-                max_iterations: 1,
-                ..DetectorConfig::default()
-            },
-        );
         let policy = RetryPolicy {
             max_retries: 0,
             ..RetryPolicy::default()
         };
-        let mut telemetry = Telemetry::for_unit(0);
-        let (d, iters) = det
-            .detect_until_churn_telemetry(
-                &mut cluster,
-                &mut plan,
-                &policy,
-                adv,
-                30.0,
-                |_| false,
-                &mut r,
-                &mut telemetry,
-            )
-            .unwrap();
-        let events = telemetry.into_events();
+        let (d, iters, events) = churn_hunt(1, &[Some(ProbeFaultKind::Blackout)], &policy).unwrap();
         assert_eq!(window_spans(&events).len(), 1);
         assert_eq!(iters, 1);
         assert_eq!(d.degraded, Some(DegradedReason::BudgetExhausted));
@@ -1719,72 +1557,32 @@ mod tests {
 
     #[test]
     fn zero_budget_blocks_every_retry() {
-        let (mut cluster, adv, mut r) = churn_setup();
-        let mut plan = fault_plan_matching(&[Some(ProbeFaultKind::Blackout)]);
-        let det = Detector::new(
-            detector().recommender_arc(),
-            DetectorConfig {
-                max_iterations: 1,
-                ..DetectorConfig::default()
-            },
-        );
         let policy = RetryPolicy {
             max_retries: 2,
             probe_budget_s: 0.0,
             ..RetryPolicy::default()
         };
-        let mut telemetry = Telemetry::for_unit(0);
-        let (d, _) = det
-            .detect_until_churn_telemetry(
-                &mut cluster,
-                &mut plan,
-                &policy,
-                adv,
-                30.0,
-                |_| false,
-                &mut r,
-                &mut telemetry,
-            )
-            .unwrap();
-        assert_eq!(window_spans(&telemetry.into_events()).len(), 1);
+        let (d, _, events) = churn_hunt(1, &[Some(ProbeFaultKind::Blackout)], &policy).unwrap();
+        assert_eq!(window_spans(&events).len(), 1);
         assert_eq!(d.degraded, Some(DegradedReason::BudgetExhausted));
     }
 
     #[test]
     fn shrinking_backoff_mult_clamps_to_one() {
         // backoff_mult < 1 must not shrink the wait between retries.
-        let (mut cluster, adv, mut r) = churn_setup();
-        let mut plan = fault_plan_matching(&[
+        let pattern = [
             Some(ProbeFaultKind::Blackout),
             Some(ProbeFaultKind::Blackout),
             None,
-        ]);
-        let det = Detector::new(
-            detector().recommender_arc(),
-            DetectorConfig {
-                max_iterations: 1,
-                ..DetectorConfig::default()
-            },
-        );
+        ];
         let policy = RetryPolicy {
             max_retries: 2,
             initial_backoff_s: 15.0,
             backoff_mult: 0.5,
             ..RetryPolicy::default()
         };
-        let mut telemetry = Telemetry::for_unit(0);
-        det.detect_until_churn_telemetry(
-            &mut cluster,
-            &mut plan,
-            &policy,
-            adv,
-            30.0,
-            |_| false,
-            &mut r,
-            &mut telemetry,
-        )
-        .unwrap();
-        let spans = window_spans(&telemetry.into_events());
+        let (_, _, events) = churn_hunt(1, &pattern, &policy).unwrap();
+        let spans = window_spans(&events);
         assert_eq!(spans.len(), 3);
         let (s0, d0) = spans[0];
         let (s1, d1) = spans[1];
@@ -1796,25 +1594,14 @@ mod tests {
 
     #[test]
     fn exhaustion_report_separates_probe_and_backoff_time() {
-        let (mut cluster, adv, mut r) = churn_setup();
-        let mut plan = fault_plan_matching(&[Some(ProbeFaultKind::Blackout)]);
         let policy = RetryPolicy {
             max_retries: 0,
             abort_on_exhaustion: true,
             ..RetryPolicy::default()
         };
-        let err = detector()
-            .detect_until_churn_telemetry(
-                &mut cluster,
-                &mut plan,
-                &policy,
-                adv,
-                30.0,
-                |_| false,
-                &mut r,
-                &mut Telemetry::disabled(),
-            )
-            .unwrap_err();
+        let max_iterations = DetectorConfig::default().max_iterations;
+        let err =
+            churn_hunt(max_iterations, &[Some(ProbeFaultKind::Blackout)], &policy).unwrap_err();
         let BoltError::DetectionAborted { reason } = err else {
             panic!("expected DetectionAborted, got {err}");
         };

@@ -460,41 +460,32 @@ pub struct Testbed {
 /// Builds the §3.4 testbed: `servers` hosts, one quiet adversarial VM
 /// each, `victims` workloads placed by `scheduler`.
 ///
+/// The recommender is fitted through `cache`: sweeps that build many
+/// testbeds over the same `(training_seed, isolation, recommender)` train
+/// exactly once. Cache hits are byte-identical to refits
+/// ([`HybridRecommender::fit`] is pure), so results never depend on the
+/// cache; [`FitCache::disabled`] restores the train-every-time path.
+///
+/// Records into `telemetry` the fit (a [`Phase::RecommenderFit`] span and
+/// a [`Counter::FitCacheMiss`] when the recommender trained, a
+/// [`Counter::FitCacheHit`] when it was recalled) and then, when the
+/// handle is enabled, every launch the build performed.
+///
 /// # Errors
 ///
-/// Returns [`BoltError::InvalidExperiment`] if the victims cannot all be
-/// placed, and propagates simulator/numerical errors.
+/// Returns [`BoltError::InvalidExperiment`] if there are no victims or
+/// they cannot all be placed, and propagates simulator/numerical errors.
 pub fn build_testbed<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-) -> Result<Testbed, BoltError> {
-    build_testbed_cache(config, scheduler, &FitCache::new())
-}
-
-/// [`build_testbed`] fitting the recommender through a shared
-/// [`FitCache`]: sweeps that build many testbeds over the same
-/// `(training_seed, isolation, recommender)` train exactly once. Cache
-/// hits are byte-identical to refits ([`HybridRecommender::fit`] is
-/// pure), so results never depend on the cache;
-/// [`FitCache::disabled`] restores the train-every-time path exactly.
-///
-/// # Errors
-///
-/// Same conditions as [`build_testbed`].
-pub fn build_testbed_cache<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-    cache: &FitCache,
-) -> Result<Testbed, BoltError> {
-    build_testbed_inner(config, scheduler, cache, &mut Telemetry::disabled())
-}
-
-fn build_testbed_inner<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
     cache: &FitCache,
     telemetry: &mut Telemetry,
 ) -> Result<Testbed, BoltError> {
+    if config.victims == 0 {
+        return Err(BoltError::InvalidExperiment {
+            reason: "the experiment needs at least one victim".to_string(),
+        });
+    }
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(config.servers, ServerSpec::xeon(), config.isolation)?;
 
@@ -531,6 +522,9 @@ fn build_testbed_inner<S: Scheduler>(
         cache,
         telemetry,
     )?;
+    if telemetry.is_enabled() {
+        telemetry.cluster_events(cluster.take_events());
+    }
     let detector = Detector::new(
         recommender,
         DetectorConfig {
@@ -548,6 +542,15 @@ fn build_testbed_inner<S: Scheduler>(
     })
 }
 
+/// [`build_testbed`] with telemetry off; kept because `perfbench/` calls it.
+pub fn build_testbed_cache<S: Scheduler>(
+    config: &ExperimentConfig,
+    scheduler: &S,
+    cache: &FitCache,
+) -> Result<Testbed, BoltError> {
+    build_testbed(config, scheduler, cache, &mut Telemetry::disabled())
+}
+
 /// Runs the full controlled experiment: every victim is hunted by the
 /// adversary on its host until correctly labeled or the iteration budget
 /// runs out.
@@ -563,90 +566,27 @@ fn build_testbed_inner<S: Scheduler>(
 /// `config.parallelism` worker threads. Results are byte-identical for
 /// every thread count, including [`Parallelism::Serial`].
 ///
+/// Telemetry: the testbed build records into `telemetry` as described on
+/// [`build_testbed`]; victim `i`'s hunt then records as unit `i + 1`, and
+/// the unit buffers are appended in unit order, so the stream is identical
+/// for every [`Parallelism`] setting (wall-clock span durations aside —
+/// see [`TelemetryLog::normalized`]).
+///
 /// # Errors
 ///
 /// Propagates [`BoltError`] from testbed construction or detection.
 pub fn run_experiment<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
+    cache: &FitCache,
+    telemetry: &mut Telemetry,
 ) -> Result<ExperimentResults, BoltError> {
-    run_experiment_cache(config, scheduler, &FitCache::new())
-}
-
-/// [`run_experiment`] fitting through a shared [`FitCache`] — the entry
-/// point sweeps use so every point past the first reuses the trained
-/// recommender. Output is byte-identical to the uncached path.
-///
-/// # Errors
-///
-/// Same conditions as [`run_experiment`].
-pub fn run_experiment_cache<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-    cache: &FitCache,
-) -> Result<ExperimentResults, BoltError> {
-    run_experiment_inner(config, scheduler, cache, false).map(|(results, _)| results)
-}
-
-/// [`run_experiment`] with telemetry: returns the merged event stream of
-/// the run alongside the results. The testbed construction's cluster
-/// events record as unit 0; victim `i`'s hunt records as unit `i + 1`.
-/// Unit buffers merge in unit order, so the stream is identical for every
-/// [`Parallelism`] setting (wall-clock span durations aside — see
-/// [`TelemetryLog::normalized`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_experiment`].
-pub fn run_experiment_telemetry<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-) -> Result<(ExperimentResults, TelemetryLog), BoltError> {
-    run_experiment_inner(config, scheduler, &FitCache::new(), true)
-}
-
-/// [`run_experiment_telemetry`] fitting through a shared [`FitCache`].
-/// Unit 0 additionally carries the fit-cache events: a
-/// [`Phase::RecommenderFit`] span + [`Counter::FitCacheMiss`] when the
-/// recommender trained, a [`Counter::FitCacheHit`] when it was recalled.
-///
-/// # Errors
-///
-/// Same conditions as [`run_experiment`].
-pub fn run_experiment_cache_telemetry<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-    cache: &FitCache,
-) -> Result<(ExperimentResults, TelemetryLog), BoltError> {
-    run_experiment_inner(config, scheduler, cache, true)
-}
-
-fn run_experiment_inner<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-    cache: &FitCache,
-    telemetry_enabled: bool,
-) -> Result<(ExperimentResults, TelemetryLog), BoltError> {
-    let unit = |u: usize| {
-        if telemetry_enabled {
-            Telemetry::for_unit(u)
-        } else {
-            Telemetry::disabled()
-        }
-    };
-    // Unit 0 carries the shared setup: the recommender fit (or cache
-    // recall) and every launch the testbed performed.
-    let mut unit0 = unit(0);
-    let mut testbed = build_testbed_inner(config, scheduler, cache, &mut unit0)?;
-    if unit0.is_enabled() {
-        unit0.cluster_events(testbed.cluster.take_events());
-    }
     let Testbed {
         cluster,
         adversaries,
         victims,
         detector,
-    } = testbed;
+    } = build_testbed(config, scheduler, cache, telemetry)?;
 
     // Victim VMs per server, precomputed once. `co_residents` follows the
     // "victim VMs on the host" convention: the hunted victim counts itself,
@@ -656,8 +596,9 @@ fn run_experiment_inner<S: Scheduler>(
         victims_per_server[cluster.vm(v)?.server] += 1;
     }
 
+    let parent = &*telemetry;
     let outcomes = sweep(&victims, config.parallelism, |idx, &victim_id| {
-        let mut telemetry = unit(idx + 1);
+        let mut unit = parent.unit(idx + 1);
         let record = hunt_victim(
             config,
             &cluster,
@@ -666,27 +607,39 @@ fn run_experiment_inner<S: Scheduler>(
             &victims_per_server,
             idx,
             victim_id,
-            &mut telemetry,
+            &mut unit,
         );
-        record.map(|r| (r, telemetry.into_events()))
+        record.map(|r| (r, unit.into_events()))
     });
 
-    let mut log = TelemetryLog::new();
-    log.merge(unit0);
     let mut records = Vec::with_capacity(victims.len());
     for outcome in outcomes {
         let (record, events) = outcome?;
         records.push(record);
-        log.extend(events);
+        telemetry.extend(events);
     }
+    Ok(ExperimentResults {
+        records,
+        scheduler: scheduler.name().to_string(),
+    })
+}
 
-    Ok((
-        ExperimentResults {
-            records,
-            scheduler: scheduler.name().to_string(),
-        },
-        log,
-    ))
+/// [`run_experiment`] with telemetry off; kept because `perfbench/` calls it.
+pub fn run_experiment_cache<S: Scheduler>(
+    config: &ExperimentConfig,
+    scheduler: &S,
+    cache: &FitCache,
+) -> Result<ExperimentResults, BoltError> {
+    run_experiment(config, scheduler, cache, &mut Telemetry::disabled())
+}
+
+/// [`run_experiment`] returning its stream as a log; kept because `perfbench/` calls it.
+pub fn run_experiment_cache_telemetry<S: Scheduler>(
+    config: &ExperimentConfig,
+    scheduler: &S,
+    cache: &FitCache,
+) -> Result<(ExperimentResults, TelemetryLog), BoltError> {
+    TelemetryLog::record(|telemetry| run_experiment(config, scheduler, cache, telemetry))
 }
 
 /// Hunts one victim with an RNG stream derived from the victim index —
@@ -721,7 +674,7 @@ fn hunt_victim(
     // Stagger each victim's hunt so load-pattern phases decorrelate.
     let start_t = rng.gen::<f64>() * 200.0;
     let (detection, iterations) = if config.chaos.is_none() {
-        detector.detect_until_telemetry(
+        detector.hunt(
             cluster,
             adversary,
             start_t,
@@ -745,7 +698,7 @@ fn hunt_victim(
             horizon_s,
         );
         plan.protect(&[adversary, victim_id]);
-        detector.detect_until_churn_telemetry(
+        let (detection, iterations, _) = detector.hunt_churn(
             &mut live,
             &mut plan,
             &config.retry,
@@ -754,7 +707,8 @@ fn hunt_victim(
             |d| d.matches_label(&truth),
             &mut rng,
             telemetry,
-        )?
+        )?;
+        (detection, iterations)
     };
 
     let detected = detection.label().cloned();
@@ -786,6 +740,25 @@ mod tests {
     use super::*;
     use bolt_sim::LeastLoaded;
 
+    fn run(config: &ExperimentConfig) -> ExperimentResults {
+        run_experiment(
+            config,
+            &LeastLoaded,
+            &FitCache::new(),
+            &mut Telemetry::disabled(),
+        )
+        .unwrap()
+    }
+
+    fn testbed(config: &ExperimentConfig) -> Result<Testbed, BoltError> {
+        build_testbed(
+            config,
+            &LeastLoaded,
+            &FitCache::new(),
+            &mut Telemetry::disabled(),
+        )
+    }
+
     fn small_config() -> ExperimentConfig {
         ExperimentConfig {
             servers: 8,
@@ -810,7 +783,7 @@ mod tests {
     #[test]
     fn testbed_places_one_adversary_per_server() {
         let config = small_config();
-        let testbed = build_testbed(&config, &LeastLoaded).unwrap();
+        let testbed = testbed(&config).unwrap();
         assert_eq!(testbed.adversaries.len(), 8);
         assert_eq!(testbed.victims.len(), 16);
         for (s, &adv) in testbed.adversaries.iter().enumerate() {
@@ -826,14 +799,14 @@ mod tests {
             ..ExperimentConfig::default()
         };
         assert!(matches!(
-            build_testbed(&config, &LeastLoaded),
+            testbed(&config),
             Err(BoltError::InvalidExperiment { .. })
         ));
     }
 
     #[test]
     fn small_experiment_reaches_reasonable_accuracy() {
-        let results = run_experiment(&small_config(), &LeastLoaded).unwrap();
+        let results = run(&small_config());
         assert_eq!(results.records.len(), 16);
         let acc = results.label_accuracy();
         assert!(
@@ -849,7 +822,7 @@ mod tests {
 
     #[test]
     fn aggregations_are_consistent() {
-        let results = run_experiment(&small_config(), &LeastLoaded).unwrap();
+        let results = run(&small_config());
         // accuracy_by_co_residents sample counts sum to the record count.
         let total: usize = results
             .accuracy_by_co_residents()
@@ -882,8 +855,11 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..small_config()
         };
-        let (r1, log1) = run_experiment_telemetry(&serial, &LeastLoaded).unwrap();
-        let (r2, log2) = run_experiment_telemetry(&threaded, &LeastLoaded).unwrap();
+        let logged = |config: &ExperimentConfig| {
+            run_experiment_cache_telemetry(config, &LeastLoaded, &FitCache::new()).unwrap()
+        };
+        let (r1, log1) = logged(&serial);
+        let (r2, log2) = logged(&threaded);
         assert_eq!(r1, r2);
         assert!(!log1.is_empty());
         // The event sequence is identical at any thread count once the
@@ -894,7 +870,7 @@ mod tests {
         let back = TelemetryLog::from_jsonl(&log1.to_jsonl()).unwrap();
         assert_eq!(back, log1);
         // A telemetry-off run computes the same results.
-        let plain = run_experiment(&serial, &LeastLoaded).unwrap();
+        let plain = run(&serial);
         assert_eq!(plain, r1);
     }
 
@@ -945,9 +921,25 @@ mod tests {
 
     #[test]
     fn pressure_buckets_cover_all_records() {
-        let results = run_experiment(&small_config(), &LeastLoaded).unwrap();
+        let results = run(&small_config());
         let rows = results.accuracy_by_pressure(Resource::Cpu, 20.0);
         let total: usize = rows.iter().map(|&(_, _, n)| n).sum();
         assert_eq!(total, results.records.len());
+    }
+
+    #[test]
+    fn zero_victims_is_rejected() {
+        let config = ExperimentConfig {
+            victims: 0,
+            ..small_config()
+        };
+        assert!(matches!(
+            testbed(&config),
+            Err(BoltError::InvalidExperiment { .. })
+        ));
+        assert!(matches!(
+            run_experiment_cache(&config, &LeastLoaded, &FitCache::new()),
+            Err(BoltError::InvalidExperiment { .. })
+        ));
     }
 }

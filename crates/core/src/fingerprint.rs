@@ -140,6 +140,12 @@ pub fn population(instances: usize, seed: u64) -> Vec<WorkloadProfile> {
 /// Laplace smoothing (`α = 1` pseudo-instance spread across families)
 /// keeps empty cells near the base rate instead of hard zero.
 ///
+/// Records the estimation pass into `telemetry`: a [`Phase::ContentMatch`]
+/// span covering the grid build (heatmap estimation is content matching
+/// against a population rather than a training set) and one
+/// [`Counter::ProbeSamples`] tick per instance observation dropped into
+/// the grid.
+///
 /// # Panics
 ///
 /// Panics if `grid` is zero or `profiles` is empty.
@@ -149,7 +155,9 @@ pub fn family_heatmap(
     x: Resource,
     y: Resource,
     grid: usize,
+    telemetry: &mut Telemetry,
 ) -> Heatmap {
+    let clock = telemetry.begin();
     assert!(grid > 0, "grid must be nonzero");
     assert!(!profiles.is_empty(), "population must be nonempty");
     let mut hits = vec![0u32; grid * grid];
@@ -174,6 +182,8 @@ pub fn family_heatmap(
         .zip(&totals)
         .map(|(&h, &n)| (h as f64 + base_rate) / (n as f64 + 1.0))
         .collect();
+    telemetry.count(Counter::ProbeSamples, profiles.len() as u64);
+    telemetry.span(Phase::ContentMatch, 0.0, 0.0, clock);
     Heatmap {
         x,
         y,
@@ -183,33 +193,13 @@ pub fn family_heatmap(
     }
 }
 
-/// [`family_heatmap`] recording the estimation pass into `telemetry`: a
-/// [`Phase::ContentMatch`] span covering the grid build (heatmap
-/// estimation is content matching against a population rather than a
-/// training set) and one [`Counter::ProbeSamples`] tick per instance
-/// observation dropped into the grid.
-///
-/// # Panics
-///
-/// Same conditions as [`family_heatmap`].
-pub fn family_heatmap_telemetry(
-    profiles: &[WorkloadProfile],
-    family: &str,
-    x: Resource,
-    y: Resource,
-    grid: usize,
-    telemetry: &mut Telemetry,
-) -> Heatmap {
-    let clock = telemetry.begin();
-    let map = family_heatmap(profiles, family, x, y, grid);
-    telemetry.count(Counter::ProbeSamples, profiles.len() as u64);
-    telemetry.span(Phase::ContentMatch, 0.0, 0.0, clock);
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn heatmap(p: &[WorkloadProfile], family: &str, x: Resource, y: Resource, g: usize) -> Heatmap {
+        family_heatmap(p, family, x, y, g, &mut Telemetry::disabled())
+    }
 
     fn pop() -> Vec<WorkloadProfile> {
         population(600, 0xF162)
@@ -217,7 +207,7 @@ mod tests {
 
     #[test]
     fn memcached_hot_at_high_l1i_high_llc() {
-        let map = family_heatmap(&pop(), "memcached", Resource::L1i, Resource::Llc, 4);
+        let map = heatmap(&pop(), "memcached", Resource::L1i, Resource::Llc, 4);
         // The Fig. 2 signature: the high-L1i/high-LLC corner is far hotter
         // than the low-low corner.
         let high = map.at(3, 3).max(map.at(2, 3)).max(map.at(3, 2));
@@ -231,7 +221,7 @@ mod tests {
     #[test]
     fn disk_traffic_rules_out_memcached() {
         let p = pop();
-        let map = family_heatmap(&p, "memcached", Resource::DiskBw, Resource::L2, 4);
+        let map = heatmap(&p, "memcached", Resource::DiskBw, Resource::L2, 4);
         // memcached does zero disk I/O: any disk traffic above the first
         // column's range rules it out, so those columns sit at or below
         // the smoothed base rate while the zero-disk column rises above.
@@ -254,7 +244,7 @@ mod tests {
 
     #[test]
     fn hadoop_hot_at_high_disk() {
-        let map = family_heatmap(&pop(), "hadoop", Resource::DiskBw, Resource::Cpu, 4);
+        let map = heatmap(&pop(), "hadoop", Resource::DiskBw, Resource::Cpu, 4);
         assert!(
             map.column_mean(2).max(map.column_mean(3)) > map.column_mean(0),
             "hadoop should occupy the disk-heavy columns"
@@ -264,7 +254,7 @@ mod tests {
     #[test]
     fn probabilities_are_probabilities_and_counts_cover_population() {
         let p = pop();
-        let map = family_heatmap(&p, "spark", Resource::MemBw, Resource::Llc, 5);
+        let map = heatmap(&p, "spark", Resource::MemBw, Resource::Llc, 5);
         for &c in &map.cells {
             assert!((0.0..=1.0).contains(&c));
         }
@@ -274,7 +264,7 @@ mod tests {
 
     #[test]
     fn heatmap_accessors() {
-        let map = family_heatmap(&pop(), "hadoop", Resource::DiskBw, Resource::Cpu, 3);
+        let map = heatmap(&pop(), "hadoop", Resource::DiskBw, Resource::Cpu, 3);
         assert_eq!(map.cells.len(), 9);
         assert!((map.center(0) - 16.666).abs() < 0.01);
         let (_, _, hp) = map.hottest();
@@ -282,11 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_telemetry_matches_the_plain_map_and_records() {
+    fn heatmap_records_its_estimation_pass() {
         let p = population(100, 7);
-        let plain = family_heatmap(&p, "memcached", Resource::L1i, Resource::Llc, 4);
         let mut telemetry = Telemetry::for_unit(0);
-        let recorded = family_heatmap_telemetry(
+        family_heatmap(
             &p,
             "memcached",
             Resource::L1i,
@@ -294,7 +283,6 @@ mod tests {
             4,
             &mut telemetry,
         );
-        assert_eq!(plain, recorded);
         let log = crate::telemetry::TelemetryLog::from_events(telemetry.into_events());
         assert_eq!(log.counter_total(Counter::ProbeSamples), 100);
         assert!(log.to_jsonl().contains("content-match"));

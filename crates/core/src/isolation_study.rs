@@ -20,11 +20,9 @@ use serde::{Deserialize, Serialize};
 use bolt_recommender::FitCache;
 use bolt_sim::{IsolationConfig, LeastLoaded, Mechanisms, OsSetting};
 
-use crate::experiment::{
-    run_experiment_cache, run_experiment_cache_telemetry, shared_recommender, ExperimentConfig,
-};
+use crate::experiment::{run_experiment, shared_recommender, ExperimentConfig};
 use crate::parallel::{sweep, Parallelism};
-use crate::telemetry::{Counter, Phase, Telemetry, TelemetryLog};
+use crate::telemetry::{Counter, Phase, Telemetry};
 use crate::BoltError;
 
 /// One cell of the Fig. 14 matrix.
@@ -74,66 +72,27 @@ impl IsolationStudy {
 /// rather than nesting thread pools. Every cell derives its randomness
 /// from the configuration alone, so results match a serial run exactly.
 ///
+/// Cells whose isolation stacks leave the same observation channel (e.g.
+/// "+ thread pinning" only changes measurement noise, not attenuation)
+/// share one trained recommender through `cache`; the distinct channels
+/// are pre-warmed on the calling thread, recording their fits into
+/// `telemetry`, so parallel cells hit deterministically.
+///
+/// Each cell then records as its own unit, numbered by its position in
+/// sweep order (18 cumulative stacks, then the 3 core-isolation-only
+/// runs): one [`Phase::DetectionIteration`] span timing the whole cell
+/// plus a rollup of the inner experiment's counter totals. The unit
+/// buffers are appended in cell order, so the stream is identical for
+/// every [`Parallelism`] setting of `base`.
+///
 /// # Errors
 ///
 /// Propagates [`BoltError`] from the underlying experiments.
-pub fn run_isolation_study(base: &ExperimentConfig) -> Result<IsolationStudy, BoltError> {
-    run_isolation_study_cache(base, &FitCache::new())
-}
-
-/// [`run_isolation_study`] fitting through a shared [`FitCache`]. Cells
-/// whose isolation stacks leave the same observation channel (e.g. "+
-/// thread pinning" only changes measurement noise, not attenuation)
-/// share one trained recommender; the distinct channels are pre-warmed
-/// on the calling thread so parallel cells hit deterministically.
-///
-/// # Errors
-///
-/// Same conditions as [`run_isolation_study`].
-pub fn run_isolation_study_cache(
+pub fn run_isolation_study(
     base: &ExperimentConfig,
     cache: &FitCache,
+    telemetry: &mut Telemetry,
 ) -> Result<IsolationStudy, BoltError> {
-    run_isolation_study_inner(base, cache, false).map(|(study, _)| study)
-}
-
-/// Runs the Fig. 14 sweep with telemetry enabled.
-///
-/// Each cell records into its own unit (cells in sweep order: 18
-/// cumulative stacks, then the 3 core-isolation-only runs): one
-/// [`Phase::DetectionIteration`] span timing the whole cell plus a rollup
-/// of the inner experiment's counter totals. The inner experiments run
-/// serially, so the merged stream is identical for every
-/// [`Parallelism`] setting of `base`.
-///
-/// # Errors
-///
-/// Propagates [`BoltError`] from the underlying experiments.
-pub fn run_isolation_study_telemetry(
-    base: &ExperimentConfig,
-) -> Result<(IsolationStudy, TelemetryLog), BoltError> {
-    run_isolation_study_inner(base, &FitCache::new(), true)
-}
-
-/// [`run_isolation_study_telemetry`] fitting through a shared
-/// [`FitCache`]; the pre-warm fits record ahead of the per-cell streams
-/// as unit 0.
-///
-/// # Errors
-///
-/// Same conditions as [`run_isolation_study`].
-pub fn run_isolation_study_cache_telemetry(
-    base: &ExperimentConfig,
-    cache: &FitCache,
-) -> Result<(IsolationStudy, TelemetryLog), BoltError> {
-    run_isolation_study_inner(base, cache, true)
-}
-
-fn run_isolation_study_inner(
-    base: &ExperimentConfig,
-    cache: &FitCache,
-    telemetry_enabled: bool,
-) -> Result<(IsolationStudy, TelemetryLog), BoltError> {
     let mut stack_cells: Vec<IsolationConfig> = Vec::new();
     for setting in OsSetting::ALL {
         for mechanisms in Mechanisms::cumulative_stacks() {
@@ -161,11 +120,6 @@ fn run_isolation_study_inner(
     // then hit the cache deterministically however they are scheduled
     // (racing two parallel cells on a cold shared fingerprint would make
     // the per-cell hit/miss telemetry thread-count dependent).
-    let mut prelude = if telemetry_enabled {
-        Telemetry::for_unit(0)
-    } else {
-        Telemetry::disabled()
-    };
     if cache.is_enabled() {
         for isolation in &tasks {
             shared_recommender(
@@ -173,40 +127,35 @@ fn run_isolation_study_inner(
                 isolation,
                 base.recommender,
                 cache,
-                &mut prelude,
+                telemetry,
             )?;
         }
     }
 
+    let parent = &*telemetry;
     let outcomes = sweep(&tasks, base.parallelism, |idx, isolation| {
         let config = ExperimentConfig {
             isolation: *isolation,
             parallelism: Parallelism::Serial,
             ..*base
         };
-        if telemetry_enabled {
-            // One unit per cell: a span timing the whole cell plus the
-            // inner experiment's counter totals rolled up into it.
-            let mut telemetry = Telemetry::for_unit(idx);
-            let cell_clock = telemetry.begin();
-            let (results, inner) = run_experiment_cache_telemetry(&config, &LeastLoaded, cache)?;
-            telemetry.span(Phase::DetectionIteration, 0.0, 0.0, cell_clock);
-            for counter in Counter::ALL {
-                telemetry.count(counter, inner.counter_total(counter));
-            }
-            Ok((results.label_accuracy(), telemetry.into_events()))
-        } else {
-            run_experiment_cache(&config, &LeastLoaded, cache)
-                .map(|r| (r.label_accuracy(), Vec::new()))
+        // One unit per cell: a span timing the whole cell plus the inner
+        // experiment's counter totals rolled up into it.
+        let mut cell = parent.unit(idx);
+        let cell_clock = cell.begin();
+        let mut inner = cell.unit(0);
+        let results = run_experiment(&config, &LeastLoaded, cache, &mut inner)?;
+        cell.span(Phase::DetectionIteration, 0.0, 0.0, cell_clock);
+        for counter in Counter::ALL {
+            cell.count(counter, inner.counter_so_far(counter));
         }
+        Ok::<_, BoltError>((results.label_accuracy(), cell.into_events()))
     });
     let mut accuracies = Vec::with_capacity(tasks.len());
-    let mut log = TelemetryLog::new();
-    log.merge(prelude);
     for outcome in outcomes {
         let (accuracy, events) = outcome?;
         accuracies.push(accuracy);
-        log.extend(events);
+        telemetry.extend(events);
     }
 
     let cells = stack_cells
@@ -226,13 +175,10 @@ fn run_isolation_study_inner(
         .map(|(isolation, &accuracy)| (isolation.setting, accuracy))
         .collect();
 
-    Ok((
-        IsolationStudy {
-            cells,
-            core_isolation_only,
-        },
-        log,
-    ))
+    Ok(IsolationStudy {
+        cells,
+        core_isolation_only,
+    })
 }
 
 #[cfg(test)]
@@ -249,7 +195,8 @@ mod tests {
 
     #[test]
     fn study_produces_full_matrix() {
-        let study = run_isolation_study(&tiny()).unwrap();
+        let study =
+            run_isolation_study(&tiny(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
         assert_eq!(study.cells.len(), 18); // 3 settings × 6 stacks
         assert_eq!(study.core_isolation_only.len(), 3);
     }
@@ -261,7 +208,8 @@ mod tests {
         // stack never beats no isolation, and core isolation collapses
         // accuracy for virtualized settings. Per-step monotonicity is
         // checked by the full-scale `fig14_isolation` bench.
-        let study = run_isolation_study(&tiny()).unwrap();
+        let study =
+            run_isolation_study(&tiny(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
         let mean = |idx: usize| -> f64 {
             OsSetting::ALL
                 .iter()
@@ -300,7 +248,13 @@ mod tests {
             },
             ..tiny()
         };
-        let results = run_experiment(&config, &LeastLoaded).unwrap();
+        let results = run_experiment(
+            &config,
+            &LeastLoaded,
+            &FitCache::new(),
+            &mut Telemetry::disabled(),
+        )
+        .unwrap();
         for r in &results.records {
             if r.label_correct {
                 let disk_visible = r.truth_pressure[bolt_workloads::Resource::DiskBw] > 5.0
@@ -316,7 +270,8 @@ mod tests {
 
     #[test]
     fn core_isolation_cells_carry_penalties() {
-        let study = run_isolation_study(&tiny()).unwrap();
+        let study =
+            run_isolation_study(&tiny(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
         for cell in &study.cells {
             if cell.stack == "+core isolation" {
                 assert!((cell.performance_penalty - 1.34).abs() < 1e-9);

@@ -177,18 +177,13 @@ fn build_region(config: &RegionConfig, rng: &mut StdRng) -> Result<Cluster, Bolt
     Ok(cluster)
 }
 
-/// Runs the region scenario without telemetry.
-pub fn run_region(config: &RegionConfig) -> Result<RegionReport, BoltError> {
-    run_region_telemetry(config, &mut Telemetry::disabled())
-}
-
 /// Runs the region scenario: build, then per step probe a deterministic
 /// sample of tenants and churn a few (terminate + replace).
 ///
 /// Records the storage-layer [`Counter`]s on `telemetry` so a `--telemetry`
 /// trace shows arena occupancy, slot reuse, residency-index traffic, and
 /// aggregate-cache effectiveness alongside the usual phases.
-pub fn run_region_telemetry(
+pub fn run_region(
     config: &RegionConfig,
     telemetry: &mut Telemetry,
 ) -> Result<RegionReport, BoltError> {
@@ -326,7 +321,7 @@ mod tests {
             churn_per_step: 2,
             seed: 7,
         };
-        let report = run_region(&config).expect("region runs");
+        let report = run_region(&config, &mut Telemetry::disabled()).expect("region runs");
         assert_eq!(report.servers, 8);
         assert!(report.vms >= 8, "tenants landed");
         assert!(report.probes > 0);
@@ -348,7 +343,7 @@ mod tests {
             seed: 11,
         };
         let mut telemetry = Telemetry::for_unit(0);
-        let report = run_region_telemetry(&config, &mut telemetry).expect("region runs");
+        let report = run_region(&config, &mut telemetry).expect("region runs");
         let log = crate::telemetry::TelemetryLog::from_events(telemetry.into_events());
         assert_eq!(
             log.counter_total(Counter::ArenaVmsLive),
@@ -383,8 +378,8 @@ mod tests {
             churn_per_step: 2,
             seed: 21,
         };
-        let a = run_region(&config).expect("first run");
-        let b = run_region(&config).expect("second run");
+        let a = run_region(&config, &mut Telemetry::disabled()).expect("first run");
+        let b = run_region(&config, &mut Telemetry::disabled()).expect("second run");
         assert_eq!(a.vms, b.vms);
         assert_eq!(a.probes, b.probes);
         assert_eq!(a.storage.slots_reused, b.storage.slots_reused);

@@ -13,8 +13,8 @@ use serde::{Deserialize, Serialize};
 use bolt_recommender::FitCache;
 use bolt_sim::{ChaosConfig, Scheduler};
 
-use crate::experiment::{run_experiment_cache_telemetry, ExperimentConfig, ExperimentResults};
-use crate::telemetry::{Counter, TelemetryLog};
+use crate::experiment::{run_experiment, ExperimentConfig, ExperimentResults};
+use crate::telemetry::{Counter, Telemetry};
 use crate::BoltError;
 
 /// One row of the robustness sweep: the §3.4 experiment at one churn
@@ -45,7 +45,7 @@ impl RobustnessPoint {
     fn from_results(
         intensity: f64,
         results: &ExperimentResults,
-        log: &TelemetryLog,
+        telemetry: &Telemetry,
     ) -> RobustnessPoint {
         RobustnessPoint {
             intensity,
@@ -54,9 +54,9 @@ impl RobustnessPoint {
             degraded_rate: results.degraded_rate(),
             silent_mislabel_rate: results.silent_mislabel_rate(),
             mean_confidence: results.mean_confidence(),
-            faults_injected: log.counter_total(Counter::FaultsInjected),
-            windows_discarded: log.counter_total(Counter::WindowsDiscarded),
-            retries: log.counter_total(Counter::DetectionRetries),
+            faults_injected: telemetry.counter_so_far(Counter::FaultsInjected),
+            windows_discarded: telemetry.counter_so_far(Counter::WindowsDiscarded),
+            retries: telemetry.counter_so_far(Counter::DetectionRetries),
         }
     }
 }
@@ -66,84 +66,43 @@ impl RobustnessPoint {
 /// [`ChaosConfig::with_intensity`] (intensity `0.0` maps to
 /// [`ChaosConfig::none`], i.e. the exact legacy experiment). The
 /// per-point fault plans derive from `base.seed`, so the sweep is fully
-/// deterministic and thread-count invariant.
+/// deterministic and thread-count invariant. Churn perturbs the cluster,
+/// never the training inputs, so through a shared `cache` every intensity
+/// past the first reuses the first point's trained recommender.
+///
+/// Each point always records into its own unit-0 handle — the counters
+/// feed the per-point fault/retry tallies — and, when `telemetry` is
+/// enabled, that stream is appended to it in intensity order.
 ///
 /// # Errors
 ///
-/// Propagates [`BoltError`] from [`crate::experiment::run_experiment`].
+/// Propagates [`BoltError`] from [`run_experiment`].
 pub fn churn_sweep<S: Scheduler>(
     base: &ExperimentConfig,
     scheduler: &S,
     intensities: &[f64],
-) -> Result<Vec<RobustnessPoint>, BoltError> {
-    churn_sweep_telemetry(base, scheduler, intensities).map(|(points, _)| points)
-}
-
-/// [`churn_sweep`] fitting through a shared [`FitCache`]: churn perturbs
-/// the cluster, never the training inputs, so every intensity past the
-/// first reuses the first point's trained recommender. Byte-identical
-/// rows either way.
-///
-/// # Errors
-///
-/// Same conditions as [`churn_sweep`].
-pub fn churn_sweep_cache<S: Scheduler>(
-    base: &ExperimentConfig,
-    scheduler: &S,
-    intensities: &[f64],
     cache: &FitCache,
+    telemetry: &mut Telemetry,
 ) -> Result<Vec<RobustnessPoint>, BoltError> {
-    churn_sweep_cache_telemetry(base, scheduler, intensities, cache).map(|(points, _)| points)
-}
-
-/// [`churn_sweep`] returning the concatenated telemetry of every point
-/// alongside the rows. Counters are always collected internally (they feed
-/// the per-point fault/retry tallies); the returned log is the point-by-
-/// point concatenation in intensity order.
-///
-/// # Errors
-///
-/// Same conditions as [`churn_sweep`].
-pub fn churn_sweep_telemetry<S: Scheduler>(
-    base: &ExperimentConfig,
-    scheduler: &S,
-    intensities: &[f64],
-) -> Result<(Vec<RobustnessPoint>, TelemetryLog), BoltError> {
-    churn_sweep_cache_telemetry(base, scheduler, intensities, &FitCache::new())
-}
-
-/// [`churn_sweep_telemetry`] fitting through a shared [`FitCache`].
-///
-/// # Errors
-///
-/// Same conditions as [`churn_sweep`].
-pub fn churn_sweep_cache_telemetry<S: Scheduler>(
-    base: &ExperimentConfig,
-    scheduler: &S,
-    intensities: &[f64],
-    cache: &FitCache,
-) -> Result<(Vec<RobustnessPoint>, TelemetryLog), BoltError> {
     let mut points = Vec::with_capacity(intensities.len());
-    let mut log = TelemetryLog::new();
     for &intensity in intensities {
         let config = ExperimentConfig {
             chaos: ChaosConfig::with_intensity(intensity),
             ..*base
         };
-        let (results, point_log) = run_experiment_cache_telemetry(&config, scheduler, cache)?;
-        points.push(RobustnessPoint::from_results(
-            intensity, &results, &point_log,
-        ));
-        log.extend(point_log.into_events());
+        let mut point = Telemetry::for_unit(0);
+        let results = run_experiment(&config, scheduler, cache, &mut point)?;
+        points.push(RobustnessPoint::from_results(intensity, &results, &point));
+        telemetry.extend(point.into_events());
     }
-    Ok((points, log))
+    Ok(points)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_experiment;
     use crate::parallel::Parallelism;
+    use crate::telemetry::TelemetryLog;
     use bolt_sim::LeastLoaded;
 
     fn small_base() -> ExperimentConfig {
@@ -157,8 +116,10 @@ mod tests {
     #[test]
     fn zero_intensity_point_matches_the_legacy_experiment() {
         let base = small_base();
-        let (points, _) = churn_sweep_telemetry(&base, &LeastLoaded, &[0.0]).unwrap();
-        let legacy = run_experiment(&base, &LeastLoaded).unwrap();
+        let cache = FitCache::new();
+        let off = &mut Telemetry::disabled();
+        let points = churn_sweep(&base, &LeastLoaded, &[0.0], &cache, off).unwrap();
+        let legacy = run_experiment(&base, &LeastLoaded, &cache, off).unwrap();
         let p = &points[0];
         assert_eq!(p.label_accuracy, legacy.label_accuracy());
         assert_eq!(
@@ -176,7 +137,14 @@ mod tests {
 
     #[test]
     fn churn_injects_faults_and_degrades_loudly_not_silently() {
-        let points = churn_sweep(&small_base(), &LeastLoaded, &[0.0, 1.0]).unwrap();
+        let points = churn_sweep(
+            &small_base(),
+            &LeastLoaded,
+            &[0.0, 1.0],
+            &FitCache::new(),
+            &mut Telemetry::disabled(),
+        )
+        .unwrap();
         let calm = &points[0];
         let stormy = &points[1];
         assert!(
@@ -219,9 +187,28 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..small_base()
         };
-        let (p1, log1) = churn_sweep_telemetry(&serial, &LeastLoaded, &[0.5]).unwrap();
-        let (p2, log2) = churn_sweep_telemetry(&threaded, &LeastLoaded, &[0.5]).unwrap();
+        let run = |config: &ExperimentConfig| {
+            TelemetryLog::record(|t| churn_sweep(config, &LeastLoaded, &[0.5], &FitCache::new(), t))
+                .unwrap()
+        };
+        let (p1, log1) = run(&serial);
+        let (p2, log2) = run(&threaded);
         assert_eq!(p1, p2);
         assert_eq!(log1.normalized(), log2.normalized());
+    }
+
+    #[test]
+    fn zero_victims_is_rejected_not_reported() {
+        // An empty sweep would otherwise print 0% accuracy under an
+        // "announced failures" verdict it never tested.
+        let base = ExperimentConfig {
+            victims: 0,
+            ..small_base()
+        };
+        let off = &mut Telemetry::disabled();
+        assert!(matches!(
+            churn_sweep(&base, &LeastLoaded, &[0.0, 1.0], &FitCache::new(), off),
+            Err(BoltError::InvalidExperiment { .. })
+        ));
     }
 }

@@ -442,43 +442,12 @@ fn compile_trace_with(config: &ServiceConfig, storm: &StormPlan) -> Vec<Request>
     out
 }
 
-/// Runs the service loop with a fresh fit cache, discarding telemetry.
-///
-/// # Errors
-///
-/// Returns [`BoltError::InvalidExperiment`] on a degenerate configuration
-/// and propagates simulator/numerical errors.
-pub fn run_service(config: &ServiceConfig) -> Result<ServiceReport, BoltError> {
-    run_service_inner(config, &FitCache::new()).map(|(report, _)| report)
-}
-
-/// [`run_service`] returning the merged telemetry stream. Unit 0 carries
-/// setup (fit, launches) and the admission pass (queue-depth gauges,
-/// admit/shed counters); lane `i` records as unit `i + 1`. The stream is
-/// identical for every [`Parallelism`] setting after
-/// [`TelemetryLog::normalized`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_service`].
-pub fn run_service_telemetry(
-    config: &ServiceConfig,
-) -> Result<(ServiceReport, TelemetryLog), BoltError> {
-    run_service_inner(config, &FitCache::new())
-}
-
-/// [`run_service_telemetry`] fitting through a shared [`FitCache`] — with
-/// [`ServiceConfig::warm_refit`] set, a cold miss seeds SGD from the
-/// nearest same-config cached model instead of random factors.
-///
-/// # Errors
-///
-/// Same conditions as [`run_service`].
+/// [`run_service`] returning its stream as a log; kept because `perfbench/` calls it.
 pub fn run_service_cache_telemetry(
     config: &ServiceConfig,
     cache: &FitCache,
 ) -> Result<(ServiceReport, TelemetryLog), BoltError> {
-    run_service_inner(config, cache)
+    TelemetryLog::record(|telemetry| run_service(config, cache, telemetry))
 }
 
 /// The service's fit path: [`shared_recommender`] unless `warm_refit`
@@ -621,10 +590,26 @@ enum BreakerState {
     HalfOpen,
 }
 
-fn run_service_inner(
+/// Runs the service loop, fitting the recommender through `cache` — with
+/// [`ServiceConfig::warm_refit`] set, a cold miss seeds SGD from the
+/// nearest same-config cached model instead of random factors.
+///
+/// The service always records internally, because the report's latency
+/// summary and the fault-taint rule read its spans and counters. Unit 0
+/// carries setup (fit, launches) and the admission pass (queue-depth
+/// gauges, admit/shed counters); lane `i` records as unit `i + 1`. When
+/// `telemetry` is enabled, that stream is appended to it; it is identical
+/// for every [`Parallelism`] setting after [`TelemetryLog::normalized`].
+///
+/// # Errors
+///
+/// Returns [`BoltError::InvalidExperiment`] on a degenerate configuration
+/// and propagates simulator/numerical errors.
+pub fn run_service(
     config: &ServiceConfig,
     cache: &FitCache,
-) -> Result<(ServiceReport, TelemetryLog), BoltError> {
+    telemetry: &mut Telemetry,
+) -> Result<ServiceReport, BoltError> {
     // `is_finite` guards matter: a NaN rate or deadline slips through a
     // plain `<= 0.0` comparison and would otherwise surface much later as
     // a nonsense trace or a poisoned lane clock. Degenerate configs are
@@ -855,7 +840,8 @@ fn run_service_inner(
         silent_mislabel_rate: silent_mislabels as f64 / denom,
         records,
     };
-    Ok((report, log))
+    telemetry.extend(log.into_events());
+    Ok(report)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -990,7 +976,7 @@ fn run_lane(
         let detector = Detector::new(Arc::clone(model), dcfg);
         let mut rng = StdRng::seed_from_u64(split_seed(config.seed ^ HUNT_SALT, req.id as u64));
         let faults_before = telemetry.counter_so_far(Counter::FaultsInjected);
-        let (detection, _iterations, elapsed) = detector.detect_until_churn_elapsed_telemetry(
+        let (detection, _iterations, elapsed) = detector.hunt_churn(
             &mut live,
             &mut plan,
             &retry,
@@ -1096,6 +1082,14 @@ fn run_lane(
 mod tests {
     use super::*;
 
+    fn serve(config: &ServiceConfig) -> Result<ServiceReport, BoltError> {
+        run_service(config, &FitCache::new(), &mut Telemetry::disabled())
+    }
+
+    fn logged(config: &ServiceConfig) -> Result<(ServiceReport, TelemetryLog), BoltError> {
+        TelemetryLog::record(|t| run_service(config, &FitCache::new(), t))
+    }
+
     fn quick_config() -> ServiceConfig {
         ServiceConfig {
             servers: 4,
@@ -1156,7 +1150,7 @@ mod tests {
             arrival_rate_per_min: 6.0,
             ..quick_config()
         };
-        let report = run_service(&config).unwrap();
+        let report = serve(&config).unwrap();
         assert_eq!(report.records.len(), report.offered);
         for (i, r) in report.records.iter().enumerate() {
             assert_eq!(r.id, i, "ledger must be dense in trace order");
@@ -1185,8 +1179,8 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..base
         };
-        let (report_s, log_s) = run_service_telemetry(&serial).unwrap();
-        let (report_t, log_t) = run_service_telemetry(&threaded).unwrap();
+        let (report_s, log_s) = logged(&serial).unwrap();
+        let (report_t, log_t) = logged(&threaded).unwrap();
         assert_eq!(report_s, report_t);
         assert_eq!(log_s.normalized(), log_t.normalized());
     }
@@ -1202,7 +1196,7 @@ mod tests {
             deadline_s: 100_000.0,
             ..quick_config()
         };
-        let (report, _) = run_service_telemetry(&config).unwrap();
+        let (report, _) = logged(&config).unwrap();
         assert_eq!(report.admitted, report.offered);
 
         let built = build_service_cluster(&config).unwrap();
@@ -1233,7 +1227,7 @@ mod tests {
             let detector = Detector::new(Arc::clone(&model), config.detector);
             let mut rng = StdRng::seed_from_u64(split_seed(config.seed ^ HUNT_SALT, req.id as u64));
             let (detection, _, elapsed) = detector
-                .detect_until_churn_elapsed_telemetry(
+                .hunt_churn(
                     &mut live,
                     &mut plan,
                     &retry,
@@ -1279,7 +1273,7 @@ mod tests {
             chaos: ChaosConfig::with_intensity(1.0),
             ..ServiceConfig::default()
         };
-        let (report, log) = run_service_telemetry(&config).unwrap();
+        let (report, log) = logged(&config).unwrap();
         assert!(report.balanced());
         assert!(
             log.counter_total(Counter::BreakerTrips) >= 1,
@@ -1300,7 +1294,7 @@ mod tests {
             workers: 2,
             ..quick_config()
         };
-        let reject = run_service(&ServiceConfig {
+        let reject = serve(&ServiceConfig {
             shed: ShedPolicy::Reject,
             ..base
         })
@@ -1316,7 +1310,7 @@ mod tests {
             }
         )));
 
-        let degrade = run_service(&ServiceConfig {
+        let degrade = serve(&ServiceConfig {
             shed: ShedPolicy::DegradeToAnytime,
             ..base
         })
@@ -1344,7 +1338,7 @@ mod tests {
             arrival_rate_per_min: 8.0,
             ..quick_config()
         };
-        let (report, log) = run_service_telemetry(&config).unwrap();
+        let (report, log) = logged(&config).unwrap();
         let gauges = log
             .events()
             .iter()
@@ -1556,10 +1550,7 @@ mod tests {
         ];
         for config in bad {
             assert!(
-                matches!(
-                    run_service(&config),
-                    Err(BoltError::InvalidExperiment { .. })
-                ),
+                matches!(serve(&config), Err(BoltError::InvalidExperiment { .. })),
                 "degenerate config must be rejected: {config:?}"
             );
         }
@@ -1584,8 +1575,8 @@ mod tests {
             arrival_rate_per_min: 0.005,
             ..base
         };
-        let (fast_report, fast_log) = run_service_telemetry(&base).unwrap();
-        let (slow_report, slow_log) = run_service_telemetry(&slow).unwrap();
+        let (fast_report, fast_log) = logged(&base).unwrap();
+        let (slow_report, slow_log) = logged(&slow).unwrap();
         assert_eq!(fast_report.records.len(), slow_report.records.len());
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0);
         for (f, s) in fast_report.records.iter().zip(&slow_report.records) {
@@ -1644,8 +1635,8 @@ mod tests {
             share_sweeps: true,
             ..base
         };
-        let (plain_report, plain_log) = run_service_telemetry(&base).unwrap();
-        let (shared_report, shared_log) = run_service_telemetry(&shared).unwrap();
+        let (plain_report, plain_log) = logged(&base).unwrap();
+        let (shared_report, shared_log) = logged(&shared).unwrap();
         assert_eq!(
             plain_report, shared_report,
             "sweep sharing must be byte-invisible"
@@ -1660,7 +1651,7 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..shared
         };
-        let (report_t, log_t) = run_service_telemetry(&threaded).unwrap();
+        let (report_t, log_t) = logged(&threaded).unwrap();
         assert_eq!(shared_report, report_t);
         assert_eq!(
             shared_log.normalized(),

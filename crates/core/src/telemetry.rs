@@ -818,6 +818,16 @@ impl Telemetry {
         }
     }
 
+    /// A unit-0 handle that records only when `on` — the usual shape
+    /// behind a `--telemetry PATH` flag.
+    pub fn recording(on: bool) -> Self {
+        if on {
+            Telemetry::for_unit(0)
+        } else {
+            Telemetry::disabled()
+        }
+    }
+
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -921,6 +931,32 @@ impl Telemetry {
     pub fn into_events(self) -> Vec<TelemetryEvent> {
         self.inner.map(|rec| rec.events).unwrap_or_default()
     }
+
+    /// A fresh handle for parallel unit `unit` of a run recording into
+    /// `self`: enabled exactly when `self` is, so a disabled caller's
+    /// units buffer nothing. Hand the unit's events back with
+    /// [`Telemetry::extend`], in unit order.
+    pub fn unit(&self, unit: usize) -> Telemetry {
+        if self.is_enabled() {
+            Telemetry::for_unit(unit)
+        } else {
+            Telemetry::disabled()
+        }
+    }
+
+    /// Appends an already-ordered batch of events (each keeps the unit it
+    /// was recorded under). A no-op when the handle is disabled.
+    pub fn extend(&mut self, events: Vec<TelemetryEvent>) {
+        if let Some(rec) = &mut self.inner {
+            // A fresh handle takes the buffer over instead of copying it:
+            // the service hands its whole stream across this way.
+            if rec.events.is_empty() {
+                rec.events = events;
+            } else {
+                rec.events.extend(events);
+            }
+        }
+    }
 }
 
 /// The simulator's sink trait, implemented so cluster code can write
@@ -983,6 +1019,20 @@ impl TelemetryLog {
     /// True if the log holds no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Runs `f` against an enabled unit-0 handle and returns its result
+    /// together with everything it recorded.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `f` returns.
+    pub fn record<T, E>(
+        f: impl FnOnce(&mut Telemetry) -> Result<T, E>,
+    ) -> Result<(T, TelemetryLog), E> {
+        let mut telemetry = Telemetry::for_unit(0);
+        let value = f(&mut telemetry)?;
+        Ok((value, TelemetryLog::from_events(telemetry.into_events())))
     }
 
     /// Appends one unit's buffer. Call in unit order to keep the merged

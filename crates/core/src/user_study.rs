@@ -20,7 +20,7 @@ use bolt_workloads::{AppLabel, PressureVector, ResourceCharacteristics};
 
 use crate::detector::{Detector, DetectorConfig};
 use crate::parallel::{split_seed, sweep, Parallelism};
-use crate::telemetry::{Telemetry, TelemetryLog};
+use crate::telemetry::Telemetry;
 use crate::BoltError;
 
 /// Training-set seed of the §4 study: the paper's training set was *not*
@@ -185,8 +185,14 @@ fn detect_job(
     // Job-derived stream: detection noise no longer perturbs the shared
     // placement RNG, and any fan-out order yields identical records.
     let mut rng = StdRng::seed_from_u64(split_seed(seed ^ 0xD37EC7, p.job as u64));
-    let detection =
-        detector.detect_telemetry(&p.snapshot, p.bolt_vm, p.detect_t, &mut rng, telemetry)?;
+    let detection = detector.detect(
+        &p.snapshot,
+        p.bolt_vm,
+        p.detect_t,
+        None,
+        &mut rng,
+        telemetry,
+    )?;
     let name_correct = p.in_training && detection.matches_family(&p.truth_label);
     let characteristics_correct = detection.matches_characteristics(&p.truth_characteristics);
     Ok(UserStudyRecord {
@@ -211,26 +217,22 @@ fn detect_job(
 fn flush_detections(
     detector: &Detector,
     config: &UserStudyConfig,
-    telemetry_enabled: bool,
     pending: &mut Vec<PendingDetection>,
     records: &mut Vec<UserStudyRecord>,
-    log: &mut TelemetryLog,
+    telemetry: &mut Telemetry,
 ) -> Result<(), BoltError> {
+    let parent = &*telemetry;
     let outcomes = sweep(&pending[..], config.parallelism, |_, p| {
         // Job `j` records into unit `j + 1`; unit 0 is reserved for the
         // cluster's own placement events. Batches flush in job order, so
         // the merged stream is identical for every `parallelism` setting.
-        let mut telemetry = if telemetry_enabled {
-            Telemetry::for_unit(p.job + 1)
-        } else {
-            Telemetry::disabled()
-        };
-        detect_job(detector, config.seed, p, &mut telemetry).map(|r| (r, telemetry.into_events()))
+        let mut unit = parent.unit(p.job + 1);
+        detect_job(detector, config.seed, p, &mut unit).map(|r| (r, unit.into_events()))
     });
     for outcome in outcomes {
         let (record, events) = outcome?;
         records.push(record);
-        log.extend(events);
+        telemetry.extend(events);
     }
     pending.clear();
     Ok(())
@@ -248,62 +250,28 @@ fn flush_detections(
 /// onto frozen [`Cluster::snapshot`]s and fan out in
 /// [`DETECTION_CHUNK`]-sized batches over `config.parallelism`.
 ///
-/// # Errors
-///
-/// Propagates [`BoltError`] from the simulator or detector.
-pub fn run_user_study(config: &UserStudyConfig) -> Result<UserStudyResults, BoltError> {
-    run_user_study_cache(config, &FitCache::new())
-}
-
-/// [`run_user_study`] fitting through a shared [`FitCache`] — repeated
-/// studies (or a study following other default-config work) reuse the
-/// trained recommender instead of refitting it. Byte-identical results.
-///
-/// # Errors
-///
-/// Same conditions as [`run_user_study`].
-pub fn run_user_study_cache(
-    config: &UserStudyConfig,
-    cache: &FitCache,
-) -> Result<UserStudyResults, BoltError> {
-    run_user_study_inner(config, cache, false).map(|(results, _)| results)
-}
-
-/// Runs the user study with telemetry enabled.
-///
-/// Each job's detection pass records into its own unit (`job + 1`);
-/// the cluster's placement events (launches, departures) form a trailing
-/// unit-0 block. The merged stream is identical for every
+/// The recommender fits through `cache`, so repeated studies (or a study
+/// following other default-config work) reuse the trained model. The fit
+/// (or cache recall) records into `telemetry` first; each job's detection
+/// pass then records as unit `job + 1`, and the pool's placement events
+/// (launches, departures) close the stream as a trailing block on
+/// `telemetry`'s own unit. The stream is identical for every
 /// [`Parallelism`] setting.
 ///
 /// # Errors
 ///
-/// Propagates [`BoltError`] from the simulator or detector.
-pub fn run_user_study_telemetry(
-    config: &UserStudyConfig,
-) -> Result<(UserStudyResults, TelemetryLog), BoltError> {
-    run_user_study_inner(config, &FitCache::new(), true)
-}
-
-/// [`run_user_study_telemetry`] fitting through a shared [`FitCache`];
-/// the fit (or cache recall) leads the stream as a unit-0 block ahead of
-/// the per-job detection units.
-///
-/// # Errors
-///
-/// Same conditions as [`run_user_study`].
-pub fn run_user_study_cache_telemetry(
+/// Returns [`BoltError::InvalidExperiment`] when `config.jobs` is zero,
+/// and propagates [`BoltError`] from the simulator or detector.
+pub fn run_user_study(
     config: &UserStudyConfig,
     cache: &FitCache,
-) -> Result<(UserStudyResults, TelemetryLog), BoltError> {
-    run_user_study_inner(config, cache, true)
-}
-
-fn run_user_study_inner(
-    config: &UserStudyConfig,
-    cache: &FitCache,
-    telemetry_enabled: bool,
-) -> Result<(UserStudyResults, TelemetryLog), BoltError> {
+    telemetry: &mut Telemetry,
+) -> Result<UserStudyResults, BoltError> {
+    if config.jobs == 0 {
+        return Err(BoltError::InvalidExperiment {
+            reason: "the user study needs at least one job".to_string(),
+        });
+    }
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(
         config.instances,
@@ -328,24 +296,17 @@ fn run_user_study_inner(
     // The study trains on seed-7 profiles observed through the cloud's
     // default channel (see `USER_STUDY_TRAINING_SEED`); the shared fit
     // path memoizes both the catalog walk and the SVD+SGD training.
-    let mut fit_telemetry = if telemetry_enabled {
-        Telemetry::for_unit(0)
-    } else {
-        Telemetry::disabled()
-    };
     let recommender = crate::experiment::shared_recommender(
         USER_STUDY_TRAINING_SEED,
         &isolation,
         config.recommender,
         cache,
-        &mut fit_telemetry,
+        telemetry,
     )?;
     let detector = Detector::new(recommender, config.detector);
 
     let horizon_s = 4.0 * 3600.0;
     let mut records = Vec::with_capacity(config.jobs);
-    let mut log = TelemetryLog::new();
-    log.merge(fit_telemetry);
     let mut pending: Vec<PendingDetection> = Vec::with_capacity(DETECTION_CHUNK);
     // Jobs a user keeps concentrated on "their" instances: each user gets a
     // home instance for manual placements.
@@ -406,14 +367,7 @@ fn run_user_study_inner(
             snapshot: cluster.snapshot(),
         });
         if pending.len() >= DETECTION_CHUNK {
-            flush_detections(
-                &detector,
-                config,
-                telemetry_enabled,
-                &mut pending,
-                &mut records,
-                &mut log,
-            )?;
+            flush_detections(&detector, config, &mut pending, &mut records, telemetry)?;
         }
 
         // Jobs complete over time: once the pool holds more friendly VMs
@@ -436,21 +390,12 @@ fn run_user_study_inner(
             }
         }
     }
-    flush_detections(
-        &detector,
-        config,
-        telemetry_enabled,
-        &mut pending,
-        &mut records,
-        &mut log,
-    )?;
+    flush_detections(&detector, config, &mut pending, &mut records, telemetry)?;
 
     // The pool mutates throughout the run, so its launch/terminate stream
-    // drains once, as a trailing unit-0 block.
-    if telemetry_enabled {
-        let mut unit0 = Telemetry::for_unit(0);
-        unit0.cluster_events(cluster.take_events());
-        log.merge(unit0);
+    // drains once, as a trailing block.
+    if telemetry.is_enabled() {
+        telemetry.cluster_events(cluster.take_events());
     }
 
     let instances_used = {
@@ -461,13 +406,10 @@ fn run_user_study_inner(
         used.iter().filter(|&&u| u).count()
     };
 
-    Ok((
-        UserStudyResults {
-            records,
-            instances_used,
-        },
-        log,
-    ))
+    Ok(UserStudyResults {
+        records,
+        instances_used,
+    })
 }
 
 #[cfg(test)]
@@ -485,7 +427,8 @@ mod tests {
 
     #[test]
     fn study_processes_requested_jobs() {
-        let results = run_user_study(&small()).unwrap();
+        let results =
+            run_user_study(&small(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
         assert!(results.records.len() >= 35, "most jobs should place");
         assert!(results.instances_used <= 12);
     }
@@ -493,7 +436,8 @@ mod tests {
     #[test]
     fn characterized_outnumbers_named() {
         // The paper's headline gap: 385 characterized vs 277 named.
-        let results = run_user_study(&small()).unwrap();
+        let results =
+            run_user_study(&small(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
         assert!(
             results.characterized() >= results.named(),
             "characterized {} < named {}",
@@ -511,7 +455,8 @@ mod tests {
 
     #[test]
     fn never_trained_families_are_never_named() {
-        let results = run_user_study(&small()).unwrap();
+        let results =
+            run_user_study(&small(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
         for r in &results.records {
             if !r.in_training {
                 assert!(!r.name_correct, "{} cannot be named", r.family);
@@ -521,7 +466,8 @@ mod tests {
 
     #[test]
     fn per_label_counts_sum_to_records() {
-        let results = run_user_study(&small()).unwrap();
+        let results =
+            run_user_study(&small(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
         let total: usize = results.per_label().iter().map(|&(_, n, _, _)| n).sum();
         assert_eq!(total, results.records.len());
         let jobs: usize = results.jobs_per_instance(12).iter().sum();
@@ -530,9 +476,18 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_user_study(&small()).unwrap();
-        let b = run_user_study(&small()).unwrap();
+        let a = run_user_study(&small(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
+        let b = run_user_study(&small(), &FitCache::new(), &mut Telemetry::disabled()).unwrap();
         assert_eq!(a.named(), b.named());
         assert_eq!(a.characterized(), b.characterized());
+    }
+
+    #[test]
+    fn zero_jobs_is_rejected() {
+        let config = UserStudyConfig { jobs: 0, ..small() };
+        assert!(matches!(
+            run_user_study(&config, &FitCache::new(), &mut Telemetry::disabled()),
+            Err(BoltError::InvalidExperiment { .. })
+        ));
     }
 }

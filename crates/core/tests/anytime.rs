@@ -4,9 +4,10 @@
 //! in the probe budget.
 
 use bolt::detector::{Detector, DetectorConfig};
-use bolt::experiment::{run_experiment_telemetry, ExperimentConfig};
+use bolt::experiment::{run_experiment_cache_telemetry, ExperimentConfig};
 use bolt::telemetry::Counter;
 use bolt::Parallelism;
+use bolt::{FitCache, Telemetry};
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
 use bolt_sim::LeastLoaded;
@@ -64,8 +65,8 @@ fn anytime_off_is_byte_invisible() {
         ..base
     };
     assert!(!base.anytime && !base.detector.anytime);
-    let a = run_experiment_telemetry(&base, &LeastLoaded).unwrap();
-    let b = run_experiment_telemetry(&decorated, &LeastLoaded).unwrap();
+    let a = run_experiment_cache_telemetry(&base, &LeastLoaded, &FitCache::new()).unwrap();
+    let b = run_experiment_cache_telemetry(&decorated, &LeastLoaded, &FitCache::new()).unwrap();
     assert_eq!(a.0.records, b.0.records);
     assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     let jsonl = a.1.to_jsonl();
@@ -89,8 +90,8 @@ fn anytime_hunts_are_parallelism_invariant() {
         parallelism: Parallelism::Threads(3),
         ..serial
     };
-    let a = run_experiment_telemetry(&serial, &LeastLoaded).unwrap();
-    let b = run_experiment_telemetry(&threaded, &LeastLoaded).unwrap();
+    let a = run_experiment_cache_telemetry(&serial, &LeastLoaded, &FitCache::new()).unwrap();
+    let b = run_experiment_cache_telemetry(&threaded, &LeastLoaded, &FitCache::new()).unwrap();
     assert_eq!(a.0.records, b.0.records);
     assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     assert!(
@@ -114,7 +115,15 @@ fn threshold_gates_the_early_exit() {
             ..DetectorConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(0xEA51);
-        det.detect(&cluster, adv, 100.0, &mut rng).unwrap()
+        det.detect(
+            &cluster,
+            adv,
+            100.0,
+            None,
+            &mut rng,
+            &mut Telemetry::disabled(),
+        )
+        .unwrap()
     };
     let eager = run(0.0);
     let exhaustive = run(1.5);
@@ -156,7 +165,16 @@ fn confidence_is_monotone_in_the_probe_budget() {
             ..DetectorConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(0xB07);
-        let d = det.detect(&cluster, adv, 60.0, &mut rng).unwrap();
+        let d = det
+            .detect(
+                &cluster,
+                adv,
+                60.0,
+                None,
+                &mut rng,
+                &mut Telemetry::disabled(),
+            )
+            .unwrap();
         let info = d.anytime.expect("anytime detections carry stats");
         assert!(!info.converged);
         assert!(

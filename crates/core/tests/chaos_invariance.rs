@@ -5,9 +5,10 @@
 
 use bolt::detector::{Detector, DetectorConfig, RetryPolicy};
 use bolt::experiment::{
-    build_testbed, observed_training, run_experiment_telemetry, ExperimentConfig,
+    build_testbed, observed_training, run_experiment_cache_telemetry, ExperimentConfig,
 };
 use bolt::telemetry::{Counter, Telemetry};
+use bolt::FitCache;
 use bolt::Parallelism;
 use bolt_recommender::{HybridRecommender, TrainingData};
 use bolt_sim::{ChaosConfig, FaultPlan, LeastLoaded};
@@ -35,7 +36,13 @@ fn fitted_detector(config: &ExperimentConfig) -> Detector {
 #[test]
 fn none_plan_detection_is_bit_identical_to_the_legacy_path() {
     let config = small_config(0xA5FA11);
-    let testbed = build_testbed(&config, &LeastLoaded).unwrap();
+    let testbed = build_testbed(
+        &config,
+        &LeastLoaded,
+        &FitCache::new(),
+        &mut Telemetry::disabled(),
+    )
+    .unwrap();
     let detector = fitted_detector(&config);
     let adversary = testbed.adversaries[0];
 
@@ -43,7 +50,7 @@ fn none_plan_detection_is_bit_identical_to_the_legacy_path() {
     let mut rng1 = StdRng::seed_from_u64(77);
     let mut t1 = Telemetry::for_unit(1);
     let legacy = detector
-        .detect_telemetry(&testbed.cluster, adversary, 120.0, &mut rng1, &mut t1)
+        .detect(&testbed.cluster, adversary, 120.0, None, &mut rng1, &mut t1)
         .unwrap();
 
     // Churn path with an empty plan: same cluster state, same RNG seed.
@@ -53,7 +60,7 @@ fn none_plan_detection_is_bit_identical_to_the_legacy_path() {
     let mut rng2 = StdRng::seed_from_u64(77);
     let mut t2 = Telemetry::for_unit(1);
     let churn = detector
-        .detect_churn_telemetry(
+        .detect_churn(
             &mut live, &mut plan, 0, adversary, 120.0, None, &mut rng2, &mut t2,
         )
         .unwrap();
@@ -70,7 +77,13 @@ fn none_plan_detection_is_bit_identical_to_the_legacy_path() {
 #[test]
 fn none_plan_hunt_loop_is_bit_identical_to_detect_until() {
     let config = small_config(0xBEEF);
-    let testbed = build_testbed(&config, &LeastLoaded).unwrap();
+    let testbed = build_testbed(
+        &config,
+        &LeastLoaded,
+        &FitCache::new(),
+        &mut Telemetry::disabled(),
+    )
+    .unwrap();
     let detector = fitted_detector(&config);
     let adversary = testbed.adversaries[1];
 
@@ -83,8 +96,8 @@ fn none_plan_hunt_loop_is_bit_identical_to_detect_until() {
     live.take_events();
     let mut plan = FaultPlan::compile(&ChaosConfig::none(), 1, 1, 0.0, 5000.0);
     let mut rng2 = StdRng::seed_from_u64(5);
-    let (churn, iters2) = detector
-        .detect_until_churn(
+    let (churn, iters2, _) = detector
+        .hunt_churn(
             &mut live,
             &mut plan,
             &RetryPolicy::default(),
@@ -92,6 +105,7 @@ fn none_plan_hunt_loop_is_bit_identical_to_detect_until() {
             30.0,
             |_| false,
             &mut rng2,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
 
@@ -106,7 +120,7 @@ fn chaos_off_experiment_telemetry_carries_no_chaos_artifacts() {
         config.chaos.is_none(),
         "the default config must be chaos-off"
     );
-    let (_, log) = run_experiment_telemetry(&config, &LeastLoaded).unwrap();
+    let (_, log) = run_experiment_cache_telemetry(&config, &LeastLoaded, &FitCache::new()).unwrap();
     assert!(!log.is_empty());
     assert_eq!(log.counter_total(Counter::FaultsInjected), 0);
     assert_eq!(log.counter_total(Counter::WindowsDiscarded), 0);
@@ -130,8 +144,8 @@ fn mrc_channel_off_is_byte_invisible() {
         ..base
     };
     assert!(!base.mrc_channel && !base.detector.mrc_channel);
-    let a = run_experiment_telemetry(&base, &LeastLoaded).unwrap();
-    let b = run_experiment_telemetry(&decorated, &LeastLoaded).unwrap();
+    let a = run_experiment_cache_telemetry(&base, &LeastLoaded, &FitCache::new()).unwrap();
+    let b = run_experiment_cache_telemetry(&decorated, &LeastLoaded, &FitCache::new()).unwrap();
     assert_eq!(a.0.records, b.0.records);
     assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     let jsonl = a.1.to_jsonl();
@@ -156,8 +170,8 @@ fn mrc_hunts_are_parallelism_invariant() {
         parallelism: Parallelism::Threads(3),
         ..serial
     };
-    let a = run_experiment_telemetry(&serial, &LeastLoaded).unwrap();
-    let b = run_experiment_telemetry(&threaded, &LeastLoaded).unwrap();
+    let a = run_experiment_cache_telemetry(&serial, &LeastLoaded, &FitCache::new()).unwrap();
+    let b = run_experiment_cache_telemetry(&threaded, &LeastLoaded, &FitCache::new()).unwrap();
     assert_eq!(a.0.records, b.0.records);
     assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     assert!(
@@ -194,8 +208,8 @@ proptest! {
             },
             ..base
         };
-        let a = run_experiment_telemetry(&base, &LeastLoaded).expect("base runs");
-        let b = run_experiment_telemetry(&decorated, &LeastLoaded).expect("decorated runs");
+        let a = run_experiment_cache_telemetry(&base, &LeastLoaded, &FitCache::new()).expect("base runs");
+        let b = run_experiment_cache_telemetry(&decorated, &LeastLoaded, &FitCache::new()).expect("decorated runs");
         prop_assert_eq!(&a.0.records, &b.0.records);
         prop_assert_eq!(
             a.1.normalized().to_jsonl(),

@@ -4,9 +4,10 @@
 //! request earns on a calm cluster, and thread fan-out moves no bytes.
 
 use bolt::service::{
-    run_service, run_service_telemetry, RequestOutcome, ServiceConfig, ShedReason,
+    run_service, run_service_cache_telemetry, RequestOutcome, ServiceConfig, ShedReason,
 };
 use bolt::Parallelism;
+use bolt::{FitCache, Telemetry};
 use bolt_sim::{ChaosConfig, StormConfig};
 use proptest::prelude::*;
 
@@ -42,8 +43,8 @@ proptest! {
             ..calm
         };
 
-        let calm_report = run_service(&calm).unwrap();
-        let (stormy_report, stormy_log) = run_service_telemetry(&stormy).unwrap();
+        let calm_report = run_service(&calm, &FitCache::new(), &mut Telemetry::disabled()).unwrap();
+        let (stormy_report, stormy_log) = run_service_cache_telemetry(&stormy, &FitCache::new()).unwrap();
 
         for report in [&calm_report, &stormy_report] {
             // Totality: one terminal record per offered request, dense in
@@ -101,7 +102,7 @@ proptest! {
             parallelism: Parallelism::Threads(3),
             ..stormy
         };
-        let (threaded_report, threaded_log) = run_service_telemetry(&threaded).unwrap();
+        let (threaded_report, threaded_log) = run_service_cache_telemetry(&threaded, &FitCache::new()).unwrap();
         prop_assert_eq!(&stormy_report, &threaded_report);
         prop_assert_eq!(stormy_log.normalized(), threaded_log.normalized());
     }

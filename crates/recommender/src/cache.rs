@@ -250,9 +250,9 @@ const DEFAULT_CAPACITY: usize = 64;
 /// hunts, and `Parallelism::Threads(n)` workers.
 ///
 /// See the [module docs](self) for the determinism contract. Construct
-/// one per sweep (or per CLI invocation) and thread it through the
-/// `*_cache` entry points; [`FitCache::disabled`] restores the
-/// train-every-time pipeline.
+/// one per sweep (or per CLI invocation) and pass it as the `cache`
+/// argument of every experiment entry point; [`FitCache::disabled`]
+/// restores the train-every-time pipeline.
 ///
 /// # Example
 ///

@@ -179,10 +179,10 @@ proptest! {
         let db = exhaustive.decompose_mixture(&mix, &[], 2).expect("decompose");
         prop_assert_eq!(da, db);
         let ca = exact_k
-            .decompose_with_core(&core, &uncore, 0.35, 2)
+            .decompose_with_core(&core, &uncore, 0.35, 2, None, None, &mut Default::default())
             .expect("decompose");
         let cb = exhaustive
-            .decompose_with_core(&core, &uncore, 0.35, 2)
+            .decompose_with_core(&core, &uncore, 0.35, 2, None, None, &mut Default::default())
             .expect("decompose");
         prop_assert_eq!(ca, cb);
     }

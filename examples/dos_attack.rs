@@ -7,7 +7,7 @@
 //! Pass `--telemetry <path>` to capture a JSONL trace: the detection
 //! pipeline plus both attack executions (unit 1 = Bolt, unit 2 = naive).
 
-use bolt::attacks::dos::{craft_attack, naive_attack, run_dos_telemetry, DosRunConfig};
+use bolt::attacks::dos::{craft_attack, naive_attack, run_dos, DosRunConfig};
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::observed_training;
 use bolt::telemetry::{telemetry_path_from_args, Telemetry, TelemetryLog};
@@ -38,13 +38,7 @@ fn scene(rng: &mut StdRng) -> Result<(Cluster, VmId, VmId, f64), Box<dyn std::er
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telemetry_path = telemetry_path_from_args(std::env::args().skip(1));
-    let unit = |u: usize| {
-        if telemetry_path.is_some() {
-            Telemetry::for_unit(u)
-        } else {
-            Telemetry::disabled()
-        }
-    };
+    let mut telemetry = Telemetry::recording(telemetry_path.is_some());
     let mut rng = StdRng::seed_from_u64(7);
     let isolation = IsolationConfig::cloud_default();
     let data = TrainingData::from_examples(observed_training(&training_set(7), &isolation))?;
@@ -54,9 +48,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Bolt's attack: detect first, then stress what the victim needs.
     let (mut cluster, attacker, victim, baseline) = scene(&mut rng)?;
-    let mut bolt_telemetry = unit(1);
-    let detection =
-        detector.detect_telemetry(&cluster, attacker, 10.0, &mut rng, &mut bolt_telemetry)?;
+    let mut bolt_telemetry = telemetry.unit(1);
+    let detection = detector.detect(
+        &cluster,
+        attacker,
+        10.0,
+        None,
+        &mut rng,
+        &mut bolt_telemetry,
+    )?;
     println!(
         "detected co-resident: {:?} ({:?})",
         detection.label().map(ToString::to_string),
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let primary = detection.primary().expect("a co-resident was detected");
     let attack = craft_attack(primary);
     println!("crafted contention:   {attack}");
-    let bolt = run_dos_telemetry(
+    let bolt = run_dos(
         &mut cluster,
         attacker,
         victim,
@@ -77,8 +77,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The naive baseline: saturate compute, get migrated away.
     let (mut cluster2, attacker2, victim2, _) = scene(&mut rng)?;
-    let mut naive_telemetry = unit(2);
-    let naive = run_dos_telemetry(
+    let mut naive_telemetry = telemetry.unit(2);
+    let naive = run_dos(
         &mut cluster2,
         attacker2,
         victim2,
@@ -121,9 +121,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nThe naive attack trips the 70% utilization monitor and loses its victim;");
     println!("Bolt stays quiet on CPU and keeps degrading the victim indefinitely.");
     if let Some(path) = telemetry_path {
-        let mut log = TelemetryLog::new();
-        log.merge(bolt_telemetry);
-        log.merge(naive_telemetry);
+        telemetry.extend(bolt_telemetry.into_events());
+        telemetry.extend(naive_telemetry.into_events());
+        let log = TelemetryLog::from_events(telemetry.into_events());
         log.write_jsonl(&path)?;
         eprintln!("telemetry: {} events -> {}", log.len(), path.display());
     }

@@ -164,4 +164,12 @@ if [ "$REGION_ELAPSED" -gt 60 ]; then
   echo "region smoke: took ${REGION_ELAPSED}s (budget 60s)"; exit 1
 fi
 
+echo "==> benchmark harness (builds, unit tests pass, pinned entry points untouched)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+git diff --exit-code -- perfbench BENCHMARK.json
+
+echo "==> golden outputs (every deterministic bench CSV regenerates byte-identical)"
+scripts/golden.sh
+
 echo "OK: all checks passed"

@@ -18,16 +18,14 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bolt::attacks::coresidency::{hunt_telemetry, placement_probability, CoResidencyConfig};
-use bolt::attacks::dos::{
-    craft_attack_from_profile, naive_attack, run_dos_telemetry, DosRunConfig,
-};
-use bolt::attacks::rfa::run_rfa_telemetry;
-use bolt::experiment::{run_experiment_cache, run_experiment_cache_telemetry, ExperimentConfig};
-use bolt::isolation_study::{run_isolation_study_cache, run_isolation_study_cache_telemetry};
+use bolt::attacks::coresidency::{hunt, placement_probability, CoResidencyConfig};
+use bolt::attacks::dos::{craft_attack_from_profile, naive_attack, run_dos, DosRunConfig};
+use bolt::attacks::rfa::run_rfa;
+use bolt::experiment::{run_experiment, ExperimentConfig};
+use bolt::isolation_study::run_isolation_study;
 use bolt::report::{pct, Table};
 use bolt::telemetry::{Telemetry, TelemetryLog};
-use bolt::user_study::{run_user_study_cache, run_user_study_cache_telemetry, UserStudyConfig};
+use bolt::user_study::{run_user_study, UserStudyConfig};
 use bolt::FitCache;
 use bolt_sim::{LeastLoaded, OsSetting, Quasar};
 use rand::rngs::StdRng;
@@ -172,6 +170,12 @@ impl Flags {
         self.0.get("telemetry").map(PathBuf::from)
     }
 
+    /// The run's recording handle: enabled as unit 0 when `--telemetry`
+    /// asked for a trace, disabled (and free) otherwise.
+    fn recorder(&self) -> Telemetry {
+        Telemetry::recording(self.telemetry().is_some())
+    }
+
     /// The run's fit cache: shared across every fit of the command unless
     /// `--no-fit-cache` asked for honest retrains.
     fn fit_cache(&self) -> Result<FitCache, String> {
@@ -213,10 +217,11 @@ fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
 
 /// Writes the run's telemetry trace when `--telemetry` was given, with a
 /// per-metric summary on stderr.
-fn write_telemetry(flags: &Flags, log: &TelemetryLog) -> Result<(), String> {
+fn write_telemetry(flags: &Flags, telemetry: Telemetry) -> Result<(), String> {
     let Some(path) = flags.telemetry() else {
         return Ok(());
     };
+    let log = TelemetryLog::from_events(telemetry.into_events());
     log.write_jsonl(&path)
         .map_err(|e| format!("writing {}: {e}", path.display()))?;
     eprintln!("telemetry: {} events -> {}", log.len(), path.display());
@@ -247,14 +252,9 @@ fn cmd_detect(flags: &Flags) -> Result<(), String> {
         "running the controlled experiment: {} victims on {} servers...",
         config.victims, config.servers
     );
-    let cache = flags.fit_cache()?;
-    let (results, log) = if flags.telemetry().is_some() {
-        run_experiment_cache_telemetry(&config, &LeastLoaded, &cache).map_err(|e| e.to_string())?
-    } else {
-        let results =
-            run_experiment_cache(&config, &LeastLoaded, &cache).map_err(|e| e.to_string())?;
-        (results, TelemetryLog::new())
-    };
+    let mut telemetry = flags.recorder();
+    let results = run_experiment(&config, &LeastLoaded, &flags.fit_cache()?, &mut telemetry)
+        .map_err(|e| e.to_string())?;
     let mut table = Table::new(vec![
         "victim", "detected", "iters", "co-res", "label", "chars",
     ]);
@@ -277,7 +277,7 @@ fn cmd_detect(flags: &Flags) -> Result<(), String> {
         pct(results.label_accuracy()),
         pct(results.characteristics_accuracy())
     );
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
@@ -287,18 +287,11 @@ fn cmd_table1(flags: &Flags) -> Result<(), String> {
     // Both schedulers see the same cluster physics, so one cache means the
     // recommender is trained once and the Quasar run reuses it.
     let cache = flags.fit_cache()?;
-    let (ll, quasar, log) = if flags.telemetry().is_some() {
-        let (ll, mut log) = run_experiment_cache_telemetry(&config, &LeastLoaded, &cache)
-            .map_err(|e| e.to_string())?;
-        let (quasar, quasar_log) =
-            run_experiment_cache_telemetry(&config, &Quasar, &cache).map_err(|e| e.to_string())?;
-        log.extend(quasar_log.into_events());
-        (ll, quasar, log)
-    } else {
-        let ll = run_experiment_cache(&config, &LeastLoaded, &cache).map_err(|e| e.to_string())?;
-        let quasar = run_experiment_cache(&config, &Quasar, &cache).map_err(|e| e.to_string())?;
-        (ll, quasar, TelemetryLog::new())
-    };
+    let mut telemetry = flags.recorder();
+    let ll =
+        run_experiment(&config, &LeastLoaded, &cache, &mut telemetry).map_err(|e| e.to_string())?;
+    let quasar =
+        run_experiment(&config, &Quasar, &cache, &mut telemetry).map_err(|e| e.to_string())?;
     let mut table = Table::new(vec!["class", "LL", "Quasar"]);
     table.row(vec![
         "aggregate".into(),
@@ -318,7 +311,7 @@ fn cmd_table1(flags: &Flags) -> Result<(), String> {
         ]);
     }
     println!("{}", table.render());
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
@@ -336,13 +329,9 @@ fn cmd_study(flags: &Flags) -> Result<(), String> {
         "running the user study: {} jobs on {} instances...",
         config.jobs, config.instances
     );
-    let cache = flags.fit_cache()?;
-    let (results, log) = if flags.telemetry().is_some() {
-        run_user_study_cache_telemetry(&config, &cache).map_err(|e| e.to_string())?
-    } else {
-        let results = run_user_study_cache(&config, &cache).map_err(|e| e.to_string())?;
-        (results, TelemetryLog::new())
-    };
+    let mut telemetry = flags.recorder();
+    let results =
+        run_user_study(&config, &flags.fit_cache()?, &mut telemetry).map_err(|e| e.to_string())?;
     let n = results.records.len();
     println!(
         "named {}/{} ({})  characterized {}/{} ({})  instances used {}/{}",
@@ -355,7 +344,7 @@ fn cmd_study(flags: &Flags) -> Result<(), String> {
         results.instances_used,
         config.instances
     );
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
@@ -366,13 +355,9 @@ fn cmd_isolation(flags: &Flags) -> Result<(), String> {
         ..ExperimentConfig::default()
     };
     eprintln!("running 21 detection experiments (3 settings x 7 stacks)...");
-    let cache = flags.fit_cache()?;
-    let (study, log) = if flags.telemetry().is_some() {
-        run_isolation_study_cache_telemetry(&config, &cache).map_err(|e| e.to_string())?
-    } else {
-        let study = run_isolation_study_cache(&config, &cache).map_err(|e| e.to_string())?;
-        (study, TelemetryLog::new())
-    };
+    let mut telemetry = flags.recorder();
+    let study = run_isolation_study(&config, &flags.fit_cache()?, &mut telemetry)
+        .map_err(|e| e.to_string())?;
     let mut table = Table::new(vec!["stack", "baremetal", "containers", "VMs"]);
     let stacks = [
         "none",
@@ -395,7 +380,7 @@ fn cmd_isolation(flags: &Flags) -> Result<(), String> {
         table.row(row);
     }
     println!("{}", table.render());
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
@@ -432,14 +417,7 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
     };
 
     // Unit 1 traces the Bolt-crafted run, unit 2 the naive baseline.
-    let enabled = flags.telemetry().is_some();
-    let unit = |u: usize| {
-        if enabled {
-            Telemetry::for_unit(u)
-        } else {
-            Telemetry::disabled()
-        }
-    };
+    let mut telemetry = flags.recorder();
     let defense = DosRunConfig::default();
     let (mut c1, a1, v1, baseline) = scene(&mut rng)?;
     let pressure = *c1
@@ -447,8 +425,8 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .profile
         .base_pressure();
-    let mut bolt_telemetry = unit(1);
-    let bolt = run_dos_telemetry(
+    let mut bolt_telemetry = telemetry.unit(1);
+    let bolt = run_dos(
         &mut c1,
         a1,
         v1,
@@ -459,8 +437,8 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let (mut c2, a2, v2, _) = scene(&mut rng)?;
-    let mut naive_telemetry = unit(2);
-    let naive = run_dos_telemetry(
+    let mut naive_telemetry = telemetry.unit(2);
+    let naive = run_dos(
         &mut c2,
         a2,
         v2,
@@ -470,9 +448,8 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
         &mut naive_telemetry,
     )
     .map_err(|e| e.to_string())?;
-    let mut log = TelemetryLog::new();
-    log.merge(bolt_telemetry);
-    log.merge(naive_telemetry);
+    telemetry.extend(bolt_telemetry.into_events());
+    telemetry.extend(naive_telemetry.into_events());
     println!(
         "bolt:  {:>5.0}x steady-state amplification, migration: {:?}",
         bolt.final_amplification(baseline),
@@ -483,7 +460,7 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
         naive.final_amplification(baseline),
         naive.migration_at
     );
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
@@ -508,8 +485,7 @@ fn cmd_rfa(flags: &Flags) -> Result<(), String> {
         )
         .with_vcpus(8),
     ];
-    let enabled = flags.telemetry().is_some();
-    let mut log = TelemetryLog::new();
+    let mut telemetry = flags.recorder();
     let mut table = Table::new(vec!["victim", "victim perf", "mcf", "target"]);
     for (idx, victim) in victims.into_iter().enumerate() {
         let name = victim.label().to_string();
@@ -517,14 +493,10 @@ fn cmd_rfa(flags: &Flags) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let mcf = catalog::speccpu::profile(&catalog::speccpu::Benchmark::Mcf, &mut rng);
         // One telemetry unit per Table 2 row.
-        let mut telemetry = if enabled {
-            Telemetry::for_unit(idx + 1)
-        } else {
-            Telemetry::disabled()
-        };
-        let outcome = run_rfa_telemetry(&mut cluster, 0, victim, mcf, &mut rng, &mut telemetry)
-            .map_err(|e| e.to_string())?;
-        log.merge(telemetry);
+        let mut row = telemetry.unit(idx + 1);
+        let outcome =
+            run_rfa(&mut cluster, 0, victim, mcf, &mut rng, &mut row).map_err(|e| e.to_string())?;
+        telemetry.extend(row.into_events());
         table.row(vec![
             name,
             format!("{:+.0}%", outcome.victim_delta * 100.0),
@@ -533,7 +505,7 @@ fn cmd_rfa(flags: &Flags) -> Result<(), String> {
         ]);
     }
     println!("{}", table.render());
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
@@ -598,16 +570,11 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
         "hunting a SQL victim across {servers} servers; P(per fleet) = {:.2}",
         placement_probability(servers, 1, config.probes)
     );
-    let enabled = flags.telemetry().is_some();
-    let mut log = TelemetryLog::new();
+    let mut telemetry = flags.recorder();
     for round in 0..10 {
         // One telemetry unit per probe fleet.
-        let mut telemetry = if enabled {
-            Telemetry::for_unit(round + 1)
-        } else {
-            Telemetry::disabled()
-        };
-        let outcome = hunt_telemetry(
+        let mut fleet = telemetry.unit(round + 1);
+        let outcome = hunt(
             &mut cluster,
             &detector,
             victim,
@@ -615,10 +582,10 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
             &config,
             round as f64 * 120.0,
             &mut rng,
-            &mut telemetry,
+            &mut fleet,
         )
         .map_err(|e| e.to_string())?;
-        log.merge(telemetry);
+        telemetry.extend(fleet.into_events());
         println!(
             "fleet {round}: probed {:?}, SQL candidates {:?}",
             outcome.probed_servers, outcome.candidate_servers
@@ -628,17 +595,17 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
                 "confirmed on server {server} (truth: {victim_host}) with a {:.1}x latency jump",
                 outcome.latency_ratio()
             );
-            write_telemetry(flags, &log)?;
+            write_telemetry(flags, telemetry)?;
             return Ok(());
         }
     }
     println!("not located within the fleet budget — relaunch with another --seed");
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
 fn cmd_robustness(flags: &Flags) -> Result<(), String> {
-    use bolt::robustness::churn_sweep_cache_telemetry;
+    use bolt::robustness::churn_sweep;
 
     let config = ExperimentConfig {
         servers: flags.usize("servers", 8)?,
@@ -652,12 +619,15 @@ fn cmd_robustness(flags: &Flags) -> Result<(), String> {
         config.servers,
         intensities.len()
     );
-    // The sweep always records internally — the counters feed the
-    // fault/retry columns — so the log is there whether or not it is
-    // written out.
-    let (points, log) =
-        churn_sweep_cache_telemetry(&config, &LeastLoaded, &intensities, &flags.fit_cache()?)
-            .map_err(|e| e.to_string())?;
+    let mut telemetry = flags.recorder();
+    let points = churn_sweep(
+        &config,
+        &LeastLoaded,
+        &intensities,
+        &flags.fit_cache()?,
+        &mut telemetry,
+    )
+    .map_err(|e| e.to_string())?;
     let mut table = Table::new(vec![
         "intensity",
         "accuracy",
@@ -696,12 +666,12 @@ fn cmd_robustness(flags: &Flags) -> Result<(), String> {
             "CONTRACT VIOLATED"
         }
     );
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
 fn cmd_region(flags: &Flags) -> Result<(), String> {
-    use bolt::region::{run_region_telemetry, RegionConfig};
+    use bolt::region::{run_region, RegionConfig};
 
     let mut config = RegionConfig {
         servers: flags.usize("servers", 1000)?,
@@ -716,17 +686,15 @@ fn cmd_region(flags: &Flags) -> Result<(), String> {
         "stepping a {}-server region ({} tenants/host target, {} steps)...",
         config.servers, config.vms_per_server, config.steps
     );
-    let mut telemetry = Telemetry::for_unit(0);
-    let report = run_region_telemetry(&config, &mut telemetry).map_err(|e| e.to_string())?;
+    let mut telemetry = flags.recorder();
+    let report = run_region(&config, &mut telemetry).map_err(|e| e.to_string())?;
     println!("{}", report.table().render());
-    let mut log = TelemetryLog::new();
-    log.merge(telemetry);
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    use bolt::service::{run_service_cache_telemetry, ServiceConfig, ShedPolicy};
+    use bolt::service::{run_service, ServiceConfig, ShedPolicy};
     use bolt::{Parallelism, RegionConfig};
     use bolt_sim::{ChaosConfig, StormConfig};
 
@@ -797,8 +765,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         config.storm.intensity,
         config.chaos.intensity
     );
-    let (report, log) =
-        run_service_cache_telemetry(&config, &flags.fit_cache()?).map_err(|e| e.to_string())?;
+    // Always recorded: the table below reads the service's counters.
+    let mut telemetry = Telemetry::for_unit(0);
+    let report =
+        run_service(&config, &flags.fit_cache()?, &mut telemetry).map_err(|e| e.to_string())?;
 
     let mut table = Table::new(vec!["metric", "value"]);
     table.row(vec!["offered".into(), report.offered.to_string()]);
@@ -838,16 +808,21 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     ]);
     table.row(vec![
         "events processed".into(),
-        log.counter_total(bolt::Counter::EventsProcessed)
+        telemetry
+            .counter_so_far(bolt::Counter::EventsProcessed)
             .to_string(),
     ]);
     table.row(vec![
         "idle skipped (s)".into(),
-        log.counter_total(bolt::Counter::IdleSkipped).to_string(),
+        telemetry
+            .counter_so_far(bolt::Counter::IdleSkipped)
+            .to_string(),
     ]);
     table.row(vec![
         "sweeps shared".into(),
-        log.counter_total(bolt::Counter::SweepsShared).to_string(),
+        telemetry
+            .counter_so_far(bolt::Counter::SweepsShared)
+            .to_string(),
     ]);
     println!("{}", table.render());
     println!(
@@ -871,9 +846,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             storm: StormConfig::none(),
             ..config
         };
-        run_service_cache_telemetry(&calm, &flags.fit_cache()?)
+        run_service(&calm, &flags.fit_cache()?, &mut Telemetry::disabled())
             .map_err(|e| e.to_string())?
-            .0
             .silent_mislabel_rate
     };
     let added_silent = (report.silent_mislabel_rate - calm_silent).max(0.0);
@@ -887,7 +861,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             "CONTRACT VIOLATED"
         }
     );
-    write_telemetry(flags, &log)?;
+    write_telemetry(flags, telemetry)?;
     Ok(())
 }
 
