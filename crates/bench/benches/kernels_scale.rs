@@ -10,8 +10,9 @@
 //! where the ceiling shifts from issue width to memory bandwidth.
 //!
 //! The `speedup` columns are wall-clock ratios (scalar time / kernel
-//! time), so >1.0 means the kernel wins. Timing columns vary run to run;
-//! the shape is the pinned claim: the lane-parallel unrolled kernel
+//! time), so >1.0 means the kernel wins. Every column but `n` varies run
+//! to run, so the table goes to stdout only and no CSV is written; the
+//! shape is the claim: the lane-parallel unrolled kernel
 //! (`dot_relaxed`) reaches ≥1.5× scalar at 1k elements. The bit-exact
 //! kernel cannot beat scalar on a *pure* dot at that size — a bit-exact
 //! sum is latency-bound on its sequential add chain by definition — so
@@ -22,8 +23,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use bolt::report::Table;
-use bolt_bench::emit;
 use bolt_bench::relaxed::dot_relaxed;
+use bolt_bench::show;
 use bolt_linalg::kernels::{self, reference};
 
 /// Deterministic sign/magnitude-mixed series (no RNG: identical data
@@ -88,7 +89,7 @@ fn main() {
             format!("{rx_speedup:.2}"),
         ]);
     }
-    emit(
+    show(
         "kernels_scale",
         "unrolled kernels reach >=1.5x the naive scalar loop at 1k elements",
         &table,

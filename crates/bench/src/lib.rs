@@ -22,11 +22,19 @@ pub fn results_dir() -> PathBuf {
     root.join("bench_results")
 }
 
-/// Prints a bench header, the rendered table, and writes its CSV.
-pub fn emit(experiment: &str, paper_claim: &str, table: &Table) {
+/// Prints a bench header and the rendered table, writing no file: for
+/// wall-clock tables, which differ on every run and so are never pinned
+/// under `bench_results/`.
+pub fn show(experiment: &str, paper_claim: &str, table: &Table) {
     println!("\n=== {experiment} ===");
     println!("paper: {paper_claim}\n");
     println!("{}", table.render());
+}
+
+/// Prints a bench header, the rendered table, and writes its CSV. Only
+/// deterministic tables belong here: the golden gate diffs every CSV.
+pub fn emit(experiment: &str, paper_claim: &str, table: &Table) {
+    show(experiment, paper_claim, table);
     let path = results_dir().join(format!("{experiment}.csv"));
     match table.write_csv(&path) {
         Ok(()) => println!("csv: {}", path.display()),

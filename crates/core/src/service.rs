@@ -987,6 +987,9 @@ fn run_lane(
             telemetry,
         )?;
         let hunt_faulted = telemetry.counter_so_far(Counter::FaultsInjected) > faults_before;
+        if live.storage_stats().placement_copies > 0 {
+            telemetry.count(Counter::SnapshotCopies, 1);
+        }
 
         let service_s = stall + elapsed;
         let end = start + service_s;
@@ -1183,6 +1186,23 @@ mod tests {
         let (report_t, log_t) = logged(&threaded).unwrap();
         assert_eq!(report_s, report_t);
         assert_eq!(log_s.normalized(), log_t.normalized());
+
+        // Copy-on-write snapshots: churn makes hunts write (and so copy)
+        // their snapshot, the same hunts on every lane count; without
+        // chaos no hunt writes and none copies.
+        let copies = log_s.counter_total(Counter::SnapshotCopies);
+        assert_eq!(copies, log_t.counter_total(Counter::SnapshotCopies));
+        assert!(copies > 0, "chaos 0.4 churn must write some snapshots");
+        let calm = ServiceConfig {
+            chaos: ChaosConfig::none(),
+            ..serial
+        };
+        let (_, log_calm) = logged(&calm).unwrap();
+        assert_eq!(
+            log_calm.counter_total(Counter::SnapshotCopies),
+            0,
+            "a chaos-0 hunt only reads its snapshot"
+        );
     }
 
     #[test]

@@ -221,11 +221,16 @@ pub enum Counter {
     /// every lane was idle between arrivals — dense per-step advancement
     /// would have burned work proportional to this.
     IdleSkipped,
+    /// Service hunts whose copy-on-write cluster snapshot had to copy the
+    /// placement because the hunt wrote to it (chaos churn, defensive
+    /// migration, degradation); a hunt that only probes shares the base
+    /// placement and is not counted.
+    SnapshotCopies,
 }
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 33] = [
         Counter::SgdIterations,
         Counter::ShortlistPairHits,
         Counter::ExactPairSearches,
@@ -258,6 +263,7 @@ impl Counter {
         Counter::SweepsShared,
         Counter::EventsProcessed,
         Counter::IdleSkipped,
+        Counter::SnapshotCopies,
     ];
 
     /// Stable wire name.
@@ -295,6 +301,7 @@ impl Counter {
             Counter::SweepsShared => "sweeps-shared",
             Counter::EventsProcessed => "events-processed",
             Counter::IdleSkipped => "idle-skipped-s",
+            Counter::SnapshotCopies => "snapshot-copies",
         }
     }
 

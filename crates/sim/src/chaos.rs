@@ -352,23 +352,26 @@ impl FaultPlan {
         None
     }
 
-    /// Picks any unprotected friendly VM (for in-place workload swaps).
+    /// Picks any unprotected friendly VM (for in-place workload swaps):
+    /// counts the candidates, draws one index, then walks to it, so a
+    /// swap allocates nothing however large the region is.
     fn pick_tenant(&mut self, cluster: &Cluster) -> Option<VmId> {
-        let candidates: Vec<VmId> = cluster
-            .vm_ids()
-            .filter(|&id| {
-                !self.protected.contains(&id)
+        let protected = &self.protected;
+        let candidates = || {
+            cluster.vm_ids().filter(|id| {
+                !protected.contains(id)
                     && cluster
-                        .vm(id)
+                        .vm(*id)
                         .map(|s| s.role == VmRole::Friendly)
                         .unwrap_or(false)
             })
-            .collect();
-        if candidates.is_empty() {
+        };
+        let count = candidates().count();
+        if count == 0 {
             return None;
         }
-        let idx = self.rng.gen_range(0..candidates.len());
-        Some(candidates[idx])
+        let idx = self.rng.gen_range(0..count);
+        candidates().nth(idx)
     }
 
     /// Zhang-style migrate-on-contention: find the hottest server; if it

@@ -125,6 +125,33 @@ impl Server {
         }
     }
 
+    /// Checks, without changing anything, that a `vcpus`-sized VM fits:
+    /// the precondition [`Server::place`] enforces, exposed so a caller
+    /// can reject a launch before taking write access to shared state.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Server::place`].
+    pub(crate) fn check_fit(&self, vcpus: u32, core_isolation: bool) -> Result<(), SimError> {
+        if vcpus == 0 {
+            return Err(SimError::InvalidConfig {
+                reason: "vm must have at least one vcpu".to_string(),
+            });
+        }
+        if !self.can_host(vcpus, core_isolation) {
+            return Err(SimError::InsufficientCapacity {
+                server: usize::MAX, // caller rewrites with the real index
+                requested: vcpus,
+                available: if core_isolation {
+                    self.free_whole_cores() * self.spec.threads_per_core
+                } else {
+                    self.free_threads()
+                },
+            });
+        }
+        Ok(())
+    }
+
     /// Places a VM, returning the global hyperthread slots it received.
     ///
     /// Placement spreads across physical cores first (one thread per core),
@@ -144,22 +171,7 @@ impl Server {
         vcpus: u32,
         core_isolation: bool,
     ) -> Result<Vec<usize>, SimError> {
-        if vcpus == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "vm must have at least one vcpu".to_string(),
-            });
-        }
-        if !self.can_host(vcpus, core_isolation) {
-            return Err(SimError::InsufficientCapacity {
-                server: usize::MAX, // caller rewrites with the real index
-                requested: vcpus,
-                available: if core_isolation {
-                    self.free_whole_cores() * self.spec.threads_per_core
-                } else {
-                    self.free_threads()
-                },
-            });
-        }
+        self.check_fit(vcpus, core_isolation)?;
 
         let tpc = self.spec.threads_per_core as usize;
         let mut chosen = Vec::with_capacity(vcpus as usize);
@@ -217,18 +229,7 @@ impl Server {
         vcpus: u32,
         rng: &mut R,
     ) -> Result<Vec<usize>, SimError> {
-        if vcpus == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "vm must have at least one vcpu".to_string(),
-            });
-        }
-        if self.free_threads() < vcpus {
-            return Err(SimError::InsufficientCapacity {
-                server: usize::MAX,
-                requested: vcpus,
-                available: self.free_threads(),
-            });
-        }
+        self.check_fit(vcpus, false)?;
         let mut free: Vec<usize> = self
             .slots
             .iter()

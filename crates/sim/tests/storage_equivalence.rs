@@ -296,6 +296,65 @@ fn snapshot_takes_empty_event_buffer() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Copy-on-write snapshots isolate writes: after a snapshot is taken,
+    /// the base and the snapshot each run their own op schedule, in
+    /// alternating halves, and after every half each side matches a
+    /// freshly built twin that replayed only its own history. A side that
+    /// saw one of the other's writes would diverge from its twin. A
+    /// second snapshot that never writes keeps matching the shared
+    /// history and copies nothing.
+    #[test]
+    fn snapshot_writes_are_isolated(
+        seed in 0u64..500,
+        shared_ops in proptest::collection::vec((0u8..8, 0usize..64), 0..24),
+        base_ops in proptest::collection::vec((0u8..8, 0usize..64), 0..24),
+        snap_ops in proptest::collection::vec((0u8..8, 0usize..64), 0..24),
+        t in 0.0f64..500.0,
+    ) {
+        let isolation = IsolationConfig::cloud_default();
+        let fresh = || Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
+        let mut base = fresh();
+        apply_ops(&mut base, &shared_ops, seed);
+        let mut snap = base.snapshot();
+        let reader = base.snapshot();
+
+        let mut base_twin = fresh();
+        let mut snap_twin = fresh();
+        let mut reader_twin = fresh();
+        for twin in [&mut base_twin, &mut snap_twin, &mut reader_twin] {
+            apply_ops(twin, &shared_ops, seed);
+        }
+
+        let (base_a, base_b) = base_ops.split_at(base_ops.len() / 2);
+        let (snap_a, snap_b) = snap_ops.split_at(snap_ops.len() / 2);
+        for (half, (base_half, snap_half)) in [(base_a, snap_a), (base_b, snap_b)]
+            .into_iter()
+            .enumerate()
+        {
+            let half_seed = seed ^ (0xA5 << half);
+            apply_ops(&mut base, base_half, half_seed);
+            apply_ops(&mut base_twin, base_half, half_seed);
+            apply_ops(&mut snap, snap_half, half_seed ^ 0x5A);
+            apply_ops(&mut snap_twin, snap_half, half_seed ^ 0x5A);
+
+            assert_observables_match(&base, &base_twin, t, seed ^ 0xBA5E);
+            assert_observables_match(&snap, &snap_twin, t, seed ^ 0x5A4D);
+            assert_observables_match(&reader, &reader_twin, t, seed ^ 0x4EAD);
+        }
+
+        prop_assert_eq!(base.events(), base_twin.events(), "base trace diverged");
+        let shared_len = reader_twin.events().len();
+        prop_assert_eq!(
+            snap.events(),
+            &snap_twin.events()[shared_len..],
+            "snapshot trace diverged"
+        );
+        prop_assert!(reader.events().is_empty());
+        prop_assert_eq!(reader.storage_stats().placement_copies, 0);
+        prop_assert!(base.storage_stats().placement_copies <= 1);
+        prop_assert!(snap.storage_stats().placement_copies <= 1);
+    }
+
     /// The cross-snapshot sweep memo is byte-invisible: a cluster whose
     /// snapshots publish and reuse shared sweeps produces exactly the
     /// observables (and query-RNG stream state) of one that recomputes

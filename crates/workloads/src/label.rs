@@ -8,6 +8,7 @@
 //! resources the application is sensitive to.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -77,8 +78,11 @@ impl fmt::Display for DatasetScale {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AppLabel {
-    family: String,
-    variant: String,
+    // Shared, not owned: every VM's profile carries a label, and a
+    // cluster snapshot's copy-on-write copy clones them all, so a clone
+    // must not allocate.
+    family: Arc<str>,
+    variant: Arc<str>,
     scale: DatasetScale,
 }
 
@@ -87,8 +91,8 @@ impl AppLabel {
     /// matching.
     pub fn new(family: &str, variant: &str, scale: DatasetScale) -> Self {
         AppLabel {
-            family: family.to_lowercase(),
-            variant: variant.to_lowercase(),
+            family: family.to_lowercase().into(),
+            variant: variant.to_lowercase().into(),
             scale,
         }
     }
