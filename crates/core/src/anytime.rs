@@ -16,7 +16,7 @@
 //! [`DetectorConfig::confidence_threshold`](crate::detector::DetectorConfig::confidence_threshold).
 //! Candidate probes are ordered by expected information gain — the
 //! recommender's per-resource information weights
-//! ([`HybridRecommender::information_weights`]) scaled by the pressure
+//! ([`bolt_recommender::HybridRecommender::information_weights`]) scaled by the pressure
 //! the current decomposition predicts on each unprobed resource — so
 //! the budget is spent where the trained model says the signal is.
 //!

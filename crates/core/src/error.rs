@@ -18,11 +18,6 @@ pub enum BoltError {
         /// Human-readable description.
         reason: String,
     },
-    /// A telemetry trace could not be read or decoded.
-    Telemetry {
-        /// Human-readable description.
-        reason: String,
-    },
     /// A churn-robust detection gave up: the retry/backoff budget was
     /// exhausted (or confidence stayed below an attack's floor) before a
     /// clean measurement window was found.
@@ -40,9 +35,6 @@ impl fmt::Display for BoltError {
             BoltError::InvalidExperiment { reason } => {
                 write!(f, "invalid experiment: {reason}")
             }
-            BoltError::Telemetry { reason } => {
-                write!(f, "telemetry error: {reason}")
-            }
             BoltError::DetectionAborted { reason } => {
                 write!(f, "detection aborted: {reason}")
             }
@@ -55,9 +47,7 @@ impl Error for BoltError {
         match self {
             BoltError::Sim(e) => Some(e),
             BoltError::Linalg(e) => Some(e),
-            BoltError::InvalidExperiment { .. }
-            | BoltError::Telemetry { .. }
-            | BoltError::DetectionAborted { .. } => None,
+            BoltError::InvalidExperiment { .. } | BoltError::DetectionAborted { .. } => None,
         }
     }
 }

@@ -866,9 +866,6 @@ mod tests {
         // (necessarily nondeterministic) wall-clock durations are zeroed.
         assert_eq!(log1.normalized(), log2.normalized());
         assert_eq!(log1.normalized().to_jsonl(), log2.normalized().to_jsonl());
-        // The JSONL encoding round-trips to the same event sequence.
-        let back = TelemetryLog::from_jsonl(&log1.to_jsonl()).unwrap();
-        assert_eq!(back, log1);
         // A telemetry-off run computes the same results.
         let plain = run(&serial);
         assert_eq!(plain, r1);

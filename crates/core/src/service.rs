@@ -38,20 +38,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use bolt_recommender::{FitCache, FitOutcome, HybridRecommender, RecommenderConfig, TrainingData};
+use bolt_recommender::{FitCache, HybridRecommender, RecommenderConfig};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{
     ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, StormConfig, StormPlan,
     SweepMemo, VmId,
 };
 use bolt_workloads::catalog::memcached;
-use bolt_workloads::training::training_set;
 use bolt_workloads::{AppLabel, LoadPattern, PressureVector, WorkloadProfile};
 
 use crate::anytime::FIXED_WINDOW_NOMINAL_PROBES;
 use crate::detector::{DegradedReason, Detector, DetectorConfig, RetryPolicy};
 use crate::events::EventQueue;
-use crate::experiment::{observed_training, shared_recommender, training_data_key, victim_set};
+use crate::experiment::{shared_recommender, victim_set};
 use crate::parallel::{split_seed, sweep, Parallelism};
 use crate::region::{tenant_profile, RegionConfig};
 use crate::telemetry::{Counter, LatencySummary, Phase, ServiceMetric, Telemetry, TelemetryLog};
@@ -138,10 +137,6 @@ pub struct ServiceConfig {
     /// Thread fan-out over worker lanes. Results are byte-identical for
     /// every setting.
     pub parallelism: Parallelism,
-    /// Fit through [`FitCache::fit_warm`]: seed SGD from the nearest
-    /// same-config cached model ([`Counter::FitWarmStarts`]). Off by
-    /// default — the cold path is the byte-identity baseline.
-    pub warm_refit: bool,
     /// Populate victims with region-scale tenants
     /// ([`crate::region`]'s zero-noise, one-vCPU catalog rotation)
     /// instead of the §3.4 testbed victim set. This is what lets the
@@ -189,7 +184,6 @@ impl Default for ServiceConfig {
             chaos: ChaosConfig::none(),
             storm: StormConfig::none(),
             parallelism: Parallelism::default(),
-            warm_refit: false,
             region_tenants: false,
             share_sweeps: false,
             duplicate_rate: 0.0,
@@ -450,46 +444,6 @@ pub fn run_service_cache_telemetry(
     TelemetryLog::record(|telemetry| run_service(config, cache, telemetry))
 }
 
-/// The service's fit path: [`shared_recommender`] unless `warm_refit`
-/// routes through [`FitCache::fit_warm`].
-fn service_recommender(
-    config: &ServiceConfig,
-    cache: &FitCache,
-    telemetry: &mut Telemetry,
-) -> Result<Arc<HybridRecommender>, BoltError> {
-    if !config.warm_refit {
-        return shared_recommender(
-            config.training_seed,
-            &config.isolation,
-            config.recommender,
-            cache,
-            telemetry,
-        );
-    }
-    let key = training_data_key(config.training_seed, &config.isolation);
-    let data = cache.training_data(key, || {
-        TrainingData::from_examples(observed_training(
-            &training_set(config.training_seed),
-            &config.isolation,
-        ))
-    })?;
-    let clock = telemetry.begin();
-    let (model, outcome) = cache.fit_warm(&data, config.recommender, key, true)?;
-    match outcome {
-        FitOutcome::Hit => telemetry.count(Counter::FitCacheHit, 1),
-        FitOutcome::Warm => {
-            telemetry.count(Counter::FitCacheMiss, 1);
-            telemetry.count(Counter::FitWarmStarts, 1);
-            telemetry.span(Phase::RecommenderFit, 0.0, 0.0, clock);
-        }
-        FitOutcome::Cold => {
-            telemetry.count(Counter::FitCacheMiss, 1);
-            telemetry.span(Phase::RecommenderFit, 0.0, 0.0, clock);
-        }
-    }
-    Ok(model)
-}
-
 /// The built service cluster: one quiet adversary per server, victims
 /// round-robin, and the ground-truth labels per server.
 struct ServiceCluster {
@@ -590,9 +544,7 @@ enum BreakerState {
     HalfOpen,
 }
 
-/// Runs the service loop, fitting the recommender through `cache` — with
-/// [`ServiceConfig::warm_refit`] set, a cold miss seeds SGD from the
-/// nearest same-config cached model instead of random factors.
+/// Runs the service loop, fitting the recommender through `cache`.
 ///
 /// The service always records internally, because the report's latency
 /// summary and the fault-taint rule read its spans and counters. Unit 0
@@ -660,7 +612,13 @@ pub fn run_service(
         server_vms,
         truths,
     } = built;
-    let model = service_recommender(config, cache, &mut unit0)?;
+    let model = shared_recommender(
+        config.training_seed,
+        &config.isolation,
+        config.recommender,
+        cache,
+        &mut unit0,
+    )?;
     unit0.count(Counter::StormArrivals, storm_injected as u64);
 
     // Sequential admission pass, event-driven: the queue estimator (one
@@ -1084,6 +1042,9 @@ fn run_lane(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::observed_training;
+    use bolt_recommender::TrainingData;
+    use bolt_workloads::training::training_set;
 
     fn serve(config: &ServiceConfig) -> Result<ServiceReport, BoltError> {
         run_service(config, &FitCache::new(), &mut Telemetry::disabled())

@@ -24,11 +24,12 @@
 //!   Wall-clock durations are the one necessarily nondeterministic
 //!   field; [`TelemetryLog::normalized`] zeroes them for comparisons.
 //!
-//! Logs export as JSONL ([`TelemetryLog::to_jsonl`], round-tripped by
-//! [`TelemetryLog::from_jsonl`] — the vendored serde is an offline
-//! stand-in, so the wire format is hand-rolled here) and render as
-//! human-readable tables ([`TelemetryLog::timeline_table`],
-//! [`TelemetryLog::summary_table`]).
+//! Logs export as JSONL ([`TelemetryLog::to_jsonl`] — the vendored serde
+//! is an offline stand-in, so the wire format is hand-rolled here) and
+//! render as human-readable tables ([`TelemetryLog::timeline_table`],
+//! [`TelemetryLog::summary_table`]). The format is write-only: nothing in
+//! this crate decodes it back; the CLI prints the summary table next to
+//! the trace it writes, and replay checks compare traces byte for byte.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -40,10 +41,9 @@ use serde::{Deserialize, Serialize};
 
 use bolt_sim::telemetry::EventSink;
 use bolt_sim::vm::VmRole;
-use bolt_sim::{ProbeFaultKind, TraceEvent, VmId};
+use bolt_sim::TraceEvent;
 use bolt_workloads::Resource;
 
-use crate::error::BoltError;
 use crate::report::Table;
 
 /// A detection-pipeline phase covered by a span timer.
@@ -112,10 +112,6 @@ impl Phase {
             Phase::AttackExecution => "attack-execution",
             Phase::ServiceRequest => "service-request",
         }
-    }
-
-    fn parse(s: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.as_str() == s)
     }
 }
 
@@ -199,9 +195,6 @@ pub enum Counter {
     StormArrivals,
     /// Probes that paid a slow-probe stall penalty from the storm plan.
     ProbeStalls,
-    /// Recommender fits warm-started from a cached neighbor model instead
-    /// of training from scratch.
-    FitWarmStarts,
     /// Deterministic probe-sweep queries answered from the cross-hunt
     /// [`SweepMemo`] instead of recomputing the co-resident walk —
     /// concurrent hunts against the same (server, window) share one
@@ -230,7 +223,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 33] = [
+    pub const ALL: [Counter; 32] = [
         Counter::SgdIterations,
         Counter::ShortlistPairHits,
         Counter::ExactPairSearches,
@@ -259,7 +252,6 @@ impl Counter {
         Counter::BreakerResets,
         Counter::StormArrivals,
         Counter::ProbeStalls,
-        Counter::FitWarmStarts,
         Counter::SweepsShared,
         Counter::EventsProcessed,
         Counter::IdleSkipped,
@@ -297,16 +289,11 @@ impl Counter {
             Counter::BreakerResets => "breaker-resets",
             Counter::StormArrivals => "storm-arrivals",
             Counter::ProbeStalls => "probe-stalls",
-            Counter::FitWarmStarts => "fit-warm-starts",
             Counter::SweepsShared => "sweeps-shared",
             Counter::EventsProcessed => "events-processed",
             Counter::IdleSkipped => "idle-skipped-s",
             Counter::SnapshotCopies => "snapshot-copies",
         }
-    }
-
-    fn parse(s: &str) -> Option<Counter> {
-        Counter::ALL.into_iter().find(|c| c.as_str() == s)
     }
 }
 
@@ -330,10 +317,6 @@ impl ServiceMetric {
             ServiceMetric::QueueDepth => "queue-depth",
             ServiceMetric::BreakersOpen => "breakers-open",
         }
-    }
-
-    fn parse(s: &str) -> Option<ServiceMetric> {
-        ServiceMetric::ALL.into_iter().find(|m| m.as_str() == s)
     }
 }
 
@@ -504,23 +487,6 @@ impl TelemetryEvent {
         }
         out
     }
-
-    /// Decodes an event from its JSON rendering.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoltError::Telemetry`] on malformed JSON or unknown
-    /// names.
-    pub fn from_json(s: &str) -> Result<TelemetryEvent, BoltError> {
-        let value = json::parse(s).map_err(bad)?;
-        decode_event(&value)
-    }
-}
-
-fn bad<S: Into<String>>(reason: S) -> BoltError {
-    BoltError::Telemetry {
-        reason: reason.into(),
-    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -607,175 +573,6 @@ fn trace_event_json(event: &TraceEvent) -> String {
         }
     }
     out
-}
-
-fn decode_event(value: &json::Json) -> Result<TelemetryEvent, BoltError> {
-    let kind = value
-        .field("type")
-        .and_then(json::Json::as_str)
-        .ok_or_else(|| bad("event missing \"type\""))?;
-    let unit = value
-        .field("unit")
-        .and_then(json::Json::as_usize)
-        .ok_or_else(|| bad("event missing \"unit\""))?;
-    match kind {
-        "span" => {
-            let phase = value
-                .field("phase")
-                .and_then(json::Json::as_str)
-                .and_then(Phase::parse)
-                .ok_or_else(|| bad("span with unknown \"phase\""))?;
-            Ok(TelemetryEvent::Span {
-                phase,
-                unit,
-                sim_start_s: require_f64(value, "sim_start_s")?,
-                sim_duration_s: require_f64(value, "sim_duration_s")?,
-                wall_ns: require_u64(value, "wall_ns")?,
-            })
-        }
-        "count" => {
-            let counter = value
-                .field("counter")
-                .and_then(json::Json::as_str)
-                .and_then(Counter::parse)
-                .ok_or_else(|| bad("count with unknown \"counter\""))?;
-            Ok(TelemetryEvent::Count {
-                counter,
-                unit,
-                delta: require_u64(value, "delta")?,
-            })
-        }
-        "gauge" => {
-            let name = value
-                .field("resource")
-                .and_then(json::Json::as_str)
-                .ok_or_else(|| bad("gauge missing \"resource\""))?;
-            let resource = Resource::ALL
-                .into_iter()
-                .find(|r| r.short_name() == name)
-                .ok_or_else(|| bad(format!("gauge with unknown resource {name:?}")))?;
-            Ok(TelemetryEvent::Gauge {
-                resource,
-                unit,
-                value: require_f64(value, "value")?,
-            })
-        }
-        "cluster" => {
-            let event = value
-                .field("event")
-                .ok_or_else(|| bad("cluster event missing \"event\""))?;
-            Ok(TelemetryEvent::Cluster {
-                unit,
-                event: decode_trace_event(event)?,
-            })
-        }
-        "service-gauge" => {
-            let metric = value
-                .field("metric")
-                .and_then(json::Json::as_str)
-                .and_then(ServiceMetric::parse)
-                .ok_or_else(|| bad("service-gauge with unknown \"metric\""))?;
-            Ok(TelemetryEvent::ServiceGauge {
-                metric,
-                unit,
-                at_s: require_f64(value, "at_s")?,
-                value: require_f64(value, "value")?,
-            })
-        }
-        other => Err(bad(format!("unknown event type {other:?}"))),
-    }
-}
-
-fn decode_trace_event(value: &json::Json) -> Result<TraceEvent, BoltError> {
-    let kind = value
-        .field("kind")
-        .and_then(json::Json::as_str)
-        .ok_or_else(|| bad("cluster event missing \"kind\""))?;
-    // Every kind except `degrade` names a VM; read it lazily per arm.
-    let vm = require_u64(value, "vm").map(VmId::from_raw);
-    match kind {
-        "launch" => {
-            let vm = vm?;
-            let role = match value.field("role").and_then(json::Json::as_str) {
-                Some("friendly") => VmRole::Friendly,
-                Some("adversarial") => VmRole::Adversarial,
-                other => return Err(bad(format!("launch with unknown role {other:?}"))),
-            };
-            let threads = value
-                .field("threads")
-                .and_then(json::Json::as_array)
-                .ok_or_else(|| bad("launch missing \"threads\""))?
-                .iter()
-                .map(|t| t.as_usize().ok_or_else(|| bad("non-integer thread slot")))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(TraceEvent::Launch {
-                vm,
-                role,
-                server: require_usize(value, "server")?,
-                threads,
-                label: require_str(value, "label")?,
-                at: require_f64(value, "at")?,
-            })
-        }
-        "terminate" => Ok(TraceEvent::Terminate {
-            vm: vm?,
-            server: require_usize(value, "server")?,
-        }),
-        "migrate" => Ok(TraceEvent::Migrate {
-            vm: vm?,
-            from: require_usize(value, "from")?,
-            to: require_usize(value, "to")?,
-        }),
-        "swap-profile" => Ok(TraceEvent::SwapProfile {
-            vm: vm?,
-            label: require_str(value, "label")?,
-        }),
-        "degrade" => Ok(TraceEvent::Degrade {
-            server: require_usize(value, "server")?,
-            factor: require_f64(value, "factor")?,
-            at: require_f64(value, "at")?,
-        }),
-        "probe-fault" => {
-            let name = value
-                .field("fault")
-                .and_then(json::Json::as_str)
-                .ok_or_else(|| bad("probe-fault missing \"fault\""))?;
-            let kind = ProbeFaultKind::parse(name)
-                .ok_or_else(|| bad(format!("unknown probe fault kind {name:?}")))?;
-            Ok(TraceEvent::ProbeFault {
-                vm: vm?,
-                kind,
-                at: require_f64(value, "at")?,
-            })
-        }
-        other => Err(bad(format!("unknown cluster event kind {other:?}"))),
-    }
-}
-
-fn require_f64(value: &json::Json, name: &str) -> Result<f64, BoltError> {
-    value
-        .field(name)
-        .and_then(json::Json::as_f64)
-        .ok_or_else(|| bad(format!("missing numeric field {name:?}")))
-}
-
-fn require_u64(value: &json::Json, name: &str) -> Result<u64, BoltError> {
-    value
-        .field(name)
-        .and_then(json::Json::as_u64)
-        .ok_or_else(|| bad(format!("missing integer field {name:?}")))
-}
-
-fn require_usize(value: &json::Json, name: &str) -> Result<usize, BoltError> {
-    require_u64(value, name).map(|v| v as usize)
-}
-
-fn require_str(value: &json::Json, name: &str) -> Result<String, BoltError> {
-    value
-        .field(name)
-        .and_then(json::Json::as_str)
-        .map(ToString::to_string)
-        .ok_or_else(|| bad(format!("missing string field {name:?}")))
 }
 
 /// An in-flight wall-clock measurement, returned by [`Telemetry::begin`].
@@ -1142,24 +939,6 @@ impl TelemetryLog {
         out
     }
 
-    /// Decodes a JSONL log (blank lines ignored).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoltError::Telemetry`] naming the first malformed line.
-    pub fn from_jsonl(s: &str) -> Result<TelemetryLog, BoltError> {
-        let mut events = Vec::new();
-        for (i, line) in s.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            events.push(
-                TelemetryEvent::from_json(line).map_err(|e| bad(format!("line {}: {e}", i + 1)))?,
-            );
-        }
-        Ok(TelemetryLog { events })
-    }
-
     /// Writes the JSONL rendering to `path`, creating parent directories.
     ///
     /// # Errors
@@ -1170,17 +949,6 @@ impl TelemetryLog {
             fs::create_dir_all(parent)?;
         }
         fs::write(path, self.to_jsonl())
-    }
-
-    /// Reads and decodes a JSONL log from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoltError::Telemetry`] on read or decode failure.
-    pub fn read_jsonl<P: AsRef<Path>>(path: P) -> Result<TelemetryLog, BoltError> {
-        let s = fs::read_to_string(path.as_ref())
-            .map_err(|e| bad(format!("reading {}: {e}", path.as_ref().display())))?;
-        TelemetryLog::from_jsonl(&s)
     }
 
     /// Renders the full stream as a human-readable timeline table.
@@ -1316,257 +1084,10 @@ where
     None
 }
 
-/// A minimal JSON reader for the hand-rolled JSONL wire format. The
-/// vendored `serde` is an offline marker stub with no serializer, so
-/// decoding is done here: just enough of RFC 8259 for the objects this
-/// module emits.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// An object, fields in source order.
-        Object(Vec<(String, Json)>),
-        /// An array.
-        Array(Vec<Json>),
-        /// A string.
-        Str(String),
-        /// A number (f64 covers every value this format emits).
-        Num(f64),
-        /// A boolean.
-        Bool(bool),
-        /// null.
-        Null,
-    }
-
-    impl Json {
-        pub fn field(&self, name: &str) -> Option<&Json> {
-            match self {
-                Json::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Json::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
-                    Some(*x as u64)
-                }
-                _ => None,
-            }
-        }
-
-        pub fn as_usize(&self) -> Option<usize> {
-            self.as_u64().map(|v| v as usize)
-        }
-
-        pub fn as_array(&self) -> Option<&[Json]> {
-            match self {
-                Json::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at offset {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string().map(Json::Str),
-                Some(b't') => self.literal("true", Json::Bool(true)),
-                Some(b'f') => self.literal("false", Json::Bool(false)),
-                Some(b'n') => self.literal("null", Json::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected input at offset {}", self.pos)),
-            }
-        }
-
-        fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                Ok(value)
-            } else {
-                Err(format!("bad literal at offset {}", self.pos))
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                if self.pos + 5 > self.bytes.len() {
-                                    return Err("truncated \\u escape".to_string());
-                                }
-                                let hex =
-                                    std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                        .map_err(|_| "bad \\u escape".to_string())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| "bad \\u escape".to_string())?,
-                                );
-                                self.pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at offset {}", self.pos)),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (the input is a &str,
-                        // so boundaries are valid).
-                        let s = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| "invalid utf-8".to_string())?;
-                        let c = s.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "invalid utf-8 in number".to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {text:?}"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bolt_sim::{ProbeFaultKind, VmId};
 
     fn sample_log() -> TelemetryLog {
         let mut unit0 = Telemetry::for_unit(0);
@@ -1620,35 +1141,70 @@ mod tests {
         assert_eq!(log.counter_total(Counter::ProbeSamples), 0);
     }
 
-    #[test]
-    fn jsonl_round_trips_exactly() {
-        let log = sample_log();
-        let text = log.to_jsonl();
-        let back = TelemetryLog::from_jsonl(&text).unwrap();
-        assert_eq!(back, log);
-        // And the re-encoding is byte-identical.
-        assert_eq!(back.to_jsonl(), text);
+    /// [`sample_log`] with wall time zeroed, plus the chaos cluster
+    /// events, a service gauge, and a label exercising every escape.
+    fn wire_log() -> TelemetryLog {
+        let mut log = sample_log().normalized();
+        log.extend(vec![
+            TelemetryEvent::Cluster {
+                unit: 2,
+                event: TraceEvent::Degrade {
+                    server: 3,
+                    factor: 0.25,
+                    at: 40.0,
+                },
+            },
+            TelemetryEvent::Cluster {
+                unit: 2,
+                event: TraceEvent::ProbeFault {
+                    vm: VmId::from_raw(6),
+                    kind: ProbeFaultKind::Blackout,
+                    at: 55.5,
+                },
+            },
+            TelemetryEvent::Cluster {
+                unit: 2,
+                event: TraceEvent::SwapProfile {
+                    vm: VmId::from_raw(6),
+                    label: "a\\b\tc\r\u{1}".to_string(),
+                },
+            },
+            TelemetryEvent::ServiceGauge {
+                metric: ServiceMetric::QueueDepth,
+                unit: 2,
+                at_s: 120.0,
+                value: 7.0,
+            },
+        ]);
+        log
     }
 
+    /// The lines of [`wire_log`]'s JSONL text: the writer's wire format.
+    const WIRE_LINES: [&str; 9] = [
+        r#"{"type":"cluster","unit":0,"event":{"kind":"launch","vm":1,"role":"adversarial","server":0,"threads":[0,1],"label":"bolt \"probe\"\nvm","at":0}}"#,
+        r#"{"type":"span","phase":"probe-sweep","unit":1,"sim_start_s":12.5,"sim_duration_s":3.25,"wall_ns":0}"#,
+        r#"{"type":"count","counter":"sgd-iterations","unit":1,"delta":9600}"#,
+        r#"{"type":"gauge","resource":"LLC","unit":1,"value":34.0625}"#,
+        r#"{"type":"cluster","unit":1,"event":{"kind":"migrate","vm":1,"from":0,"to":3}}"#,
+        r#"{"type":"cluster","unit":2,"event":{"kind":"degrade","server":3,"factor":0.25,"at":40}}"#,
+        r#"{"type":"cluster","unit":2,"event":{"kind":"probe-fault","vm":6,"fault":"blackout","at":55.5}}"#,
+        r#"{"type":"cluster","unit":2,"event":{"kind":"swap-profile","vm":6,"label":"a\\b\tc\r\u0001"}}"#,
+        r#"{"type":"service-gauge","metric":"queue-depth","unit":2,"at_s":120,"value":7}"#,
+    ];
+
     #[test]
-    fn jsonl_file_round_trip() {
-        let log = sample_log();
-        let dir = std::env::temp_dir().join("bolt-telemetry-test");
-        let path = dir.join("trace.jsonl");
+    fn jsonl_wire_format_is_pinned() {
+        let log = wire_log();
+        let expected: String = WIRE_LINES.iter().map(|line| format!("{line}\n")).collect();
+        assert_eq!(log.to_jsonl(), expected);
+        // The file writer creates missing parent directories and writes
+        // exactly those bytes.
+        let dir = std::env::temp_dir().join(format!("bolt-telemetry-{}", std::process::id()));
+        let path = dir.join("nested").join("trace.jsonl");
+        let _ = std::fs::remove_dir_all(&dir);
         log.write_jsonl(&path).unwrap();
-        let back = TelemetryLog::read_jsonl(&path).unwrap();
-        assert_eq!(back, log);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn from_jsonl_reports_bad_lines() {
-        let err = TelemetryLog::from_jsonl("{\"type\":\"span\"}\n").unwrap_err();
-        assert!(err.to_string().contains("line 1"));
-        assert!(TelemetryLog::from_jsonl("not json\n").is_err());
-        assert!(TelemetryLog::from_jsonl("{\"type\":\"mystery\",\"unit\":0}\n").is_err());
-        // Blank lines are fine.
-        assert!(TelemetryLog::from_jsonl("\n\n").unwrap().is_empty());
     }
 
     #[test]
@@ -1691,89 +1247,37 @@ mod tests {
     }
 
     #[test]
-    fn chaos_trace_events_round_trip() {
-        // `degrade` carries no "vm" field; the decoder must not demand one.
-        let mut log = TelemetryLog::new();
-        log.extend(vec![
-            TelemetryEvent::Cluster {
-                unit: 1,
-                event: TraceEvent::Degrade {
-                    server: 3,
-                    factor: 0.25,
-                    at: 40.0,
-                },
-            },
-            TelemetryEvent::Cluster {
-                unit: 1,
-                event: TraceEvent::ProbeFault {
-                    vm: VmId::from_raw(6),
-                    kind: ProbeFaultKind::Blackout,
-                    at: 55.5,
-                },
-            },
-            TelemetryEvent::Count {
-                counter: Counter::FaultsInjected,
-                unit: 1,
-                delta: 2,
-            },
-            TelemetryEvent::Count {
-                counter: Counter::WindowsDiscarded,
-                unit: 1,
-                delta: 1,
-            },
-            TelemetryEvent::Count {
-                counter: Counter::DetectionRetries,
-                unit: 1,
-                delta: 1,
-            },
-        ]);
-        let text = log.to_jsonl();
-        assert!(text.contains("\"kind\":\"degrade\""));
-        assert!(text.contains("\"fault\":\"blackout\""));
-        let back = TelemetryLog::from_jsonl(&text).unwrap();
-        assert_eq!(back, log);
-        assert_eq!(back.to_jsonl(), text);
-        assert_eq!(back.counter_total(Counter::FaultsInjected), 2);
-        let rendered = log.timeline_table().render();
+    fn chaos_trace_events_render() {
+        let rendered = wire_log().timeline_table().render();
         assert!(rendered.contains("degrade server 3"));
         assert!(rendered.contains("blackout"));
     }
 
     #[test]
-    fn wire_names_round_trip() {
-        for phase in Phase::ALL {
-            assert_eq!(Phase::parse(phase.as_str()), Some(phase));
+    fn wire_names_are_unique() {
+        fn unique(names: &[&str]) -> bool {
+            let set: std::collections::HashSet<&str> = names.iter().copied().collect();
+            set.len() == names.len()
         }
-        for counter in Counter::ALL {
-            assert_eq!(Counter::parse(counter.as_str()), Some(counter));
-        }
-        assert_eq!(Phase::parse("nope"), None);
-        assert_eq!(Counter::parse("nope"), None);
+        assert!(unique(&Phase::ALL.map(Phase::as_str)));
+        assert!(unique(&Counter::ALL.map(Counter::as_str)));
+        assert!(unique(&ServiceMetric::ALL.map(ServiceMetric::as_str)));
     }
 
     #[test]
-    fn service_gauges_round_trip_and_render() {
+    fn service_gauges_render() {
         let mut t = Telemetry::for_unit(3);
         t.service_gauge(ServiceMetric::QueueDepth, 120.0, 7.0);
         t.service_gauge(ServiceMetric::BreakersOpen, 180.0, 1.0);
         t.count(Counter::RequestsShed, 2);
         let mut log = TelemetryLog::new();
         log.merge(t);
-        let text = log.to_jsonl();
-        assert!(text.contains("\"type\":\"service-gauge\""));
-        assert!(text.contains("\"metric\":\"queue-depth\""));
-        let back = TelemetryLog::from_jsonl(&text).unwrap();
-        assert_eq!(back, log);
-        assert_eq!(back.to_jsonl(), text);
-        assert_eq!(back.counter_total(Counter::RequestsShed), 2);
+        assert_eq!(log.counter_total(Counter::RequestsShed), 2);
         let timeline = log.timeline_table().render();
         assert!(timeline.contains("queue-depth t=120.0s = 7.0"));
         let summary = log.summary_table().render();
         assert!(summary.contains("service queue-depth"));
         assert!(summary.contains("counter requests-shed"));
-        for metric in ServiceMetric::ALL {
-            assert_eq!(ServiceMetric::parse(metric.as_str()), Some(metric));
-        }
     }
 
     #[test]

@@ -248,7 +248,7 @@ fn flush_detections(
 ///
 /// Placement runs serially on the shared RNG; detections are deferred
 /// onto frozen [`Cluster::snapshot`]s and fan out in
-/// [`DETECTION_CHUNK`]-sized batches over `config.parallelism`.
+/// fixed-size batches over `config.parallelism`.
 ///
 /// The recommender fits through `cache`, so repeated studies (or a study
 /// following other default-config work) reuse the trained model. The fit

@@ -28,14 +28,14 @@
 //! datapoint these kernels are measured against (see DESIGN.md "Kernel
 //! determinism policy").
 //!
-//! Every kernel has a naive scalar twin in [`reference`], property-tested
+//! Every kernel has a naive scalar twin in [`reference`](mod@reference), property-tested
 //! to be bit-identical; the doc-hidden [`force_reference`] switch routes
 //! all kernels through those twins so end-to-end tests can pin that the
 //! unrolled forms are invisible to experiment output.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// When set, every kernel delegates to its naive [`reference`] twin.
+/// When set, every kernel delegates to its naive [`reference`](mod@reference) twin.
 static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
 
 /// Routes every kernel through the naive reference implementations
@@ -100,24 +100,6 @@ pub fn sq_norm(a: &[f64]) -> f64 {
         acc += x * x;
     }
     acc
-}
-
-/// Fused dot + squared norms: `(Σ aᵢbᵢ, Σ aᵢ², Σ bᵢ²)` in one pass, each
-/// accumulator in scalar order.
-pub fn dot_sq_norms(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(a.len(), b.len(), "dot_sq_norms: length mismatch");
-    if reference_mode() {
-        return reference::dot_sq_norms(a, b);
-    }
-    let mut ab = -0.0; // `sum()` fold identity, see `dot`
-    let mut aa = -0.0;
-    let mut bb = -0.0;
-    for (x, y) in a.iter().zip(b) {
-        ab += x * y;
-        aa += x * x;
-        bb += y * y;
-    }
-    (ab, aa, bb)
 }
 
 /// In-place `y += a · x`, elementwise (the matmul inner row update).
@@ -453,20 +435,6 @@ pub mod reference {
     /// Scalar sum of squares.
     pub fn sq_norm(a: &[f64]) -> f64 {
         a.iter().map(|x| x * x).sum()
-    }
-
-    /// Scalar fused dot + squared norms.
-    pub fn dot_sq_norms(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
-        assert_eq!(a.len(), b.len(), "dot_sq_norms: length mismatch");
-        let mut ab = -0.0; // `sum()` fold identity, matching `dot`/`sq_norm`
-        let mut aa = -0.0;
-        let mut bb = -0.0;
-        for i in 0..a.len() {
-            ab += a[i] * b[i];
-            aa += a[i] * a[i];
-            bb += b[i] * b[i];
-        }
-        (ab, aa, bb)
     }
 
     /// Scalar axpy.

@@ -63,15 +63,6 @@ proptest! {
     }
 
     #[test]
-    fn dot_sq_norms_matches_reference_bitwise((a, b) in pair()) {
-        let (ab, aa, bb) = kernels::dot_sq_norms(&a, &b);
-        let (rab, raa, rbb) = reference::dot_sq_norms(&a, &b);
-        prop_assert_eq!(bits(ab), bits(rab));
-        prop_assert_eq!(bits(aa), bits(raa));
-        prop_assert_eq!(bits(bb), bits(rbb));
-    }
-
-    #[test]
     fn axpy_matches_reference_bitwise((y0, x) in pair(), a in val()) {
         let mut y1 = y0.clone();
         let mut y2 = y0;

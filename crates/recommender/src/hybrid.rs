@@ -19,7 +19,7 @@ use bolt_linalg::kernels;
 use bolt_linalg::sgd::{PqModel, SgdConfig};
 use bolt_linalg::stats::{pearson, weighted_pearson};
 use bolt_linalg::svd::{energy_rank, Svd};
-use bolt_linalg::{LinalgError, Matrix};
+use bolt_linalg::LinalgError;
 use bolt_workloads::mrc;
 use bolt_workloads::{AppLabel, PressureVector, Resource, ResourceCharacteristics, RESOURCE_COUNT};
 
@@ -269,22 +269,6 @@ impl HybridRecommender {
     ///
     /// Propagates [`LinalgError`] from the SVD (non-finite training data).
     pub fn fit(data: TrainingData, config: RecommenderConfig) -> Result<Self, LinalgError> {
-        Self::fit_with_pq(data, config, PqModel::train)
-    }
-
-    /// The shared fit body: everything except the PQ training step, which
-    /// the caller supplies (cold random init for [`HybridRecommender::fit`],
-    /// warm-seeded for [`HybridRecommender::refit_from`]). Both paths use
-    /// the same fixed-seed RNG, so each factorization stays a pure function
-    /// of its inputs.
-    fn fit_with_pq<F>(
-        data: TrainingData,
-        config: RecommenderConfig,
-        train_pq: F,
-    ) -> Result<Self, LinalgError>
-    where
-        F: FnOnce(&Matrix, &SgdConfig, &mut rand::rngs::StdRng) -> Result<PqModel, LinalgError>,
-    {
         let m = data.matrix();
         let n = m.rows() as f64;
         let col_means: Vec<f64> = (0..m.cols())
@@ -315,7 +299,7 @@ impl HybridRecommender {
         // fitted model, so it uses its own fixed-seed RNG rather than the
         // caller's stream.
         let mut pq_rng = rand::rngs::StdRng::seed_from_u64(0x0B01_7F17);
-        let pq = train_pq(m, &config.sgd, &mut pq_rng)?;
+        let pq = PqModel::train(m, &config.sgd, &mut pq_rng)?;
         // Information value of each resource dimension: how much of the
         // retained concepts' energy loads on it, discounted by the Wiener
         // reliability of the channel (signal variance over signal-plus-
@@ -339,29 +323,6 @@ impl HybridRecommender {
             info_weights,
             rank,
             config,
-        })
-    }
-
-    /// [`HybridRecommender::fit`] warm-started from a previously fitted
-    /// model: the SVD, standardization, and information weights are
-    /// recomputed exactly as in a cold fit (they are direct functions of
-    /// the new data), but the PQ factorization seeds its item factors from
-    /// `prior`'s instead of random initialization — on nearby training
-    /// data the SGD epoch loop hits its target RMSE in a fraction of the
-    /// passes. This is the "cheap delta refit" stepping stone: callers opt
-    /// in explicitly because the warm PQ is *not* bit-identical to a cold
-    /// one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridRecommender::fit`].
-    pub fn refit_from(
-        prior: &HybridRecommender,
-        data: TrainingData,
-        config: RecommenderConfig,
-    ) -> Result<Self, LinalgError> {
-        Self::fit_with_pq(data, config, |m, sgd, rng| {
-            PqModel::train_warm(m, sgd, &prior.pq, rng)
         })
     }
 

@@ -27,10 +27,7 @@ mod cache;
 mod dataset;
 mod hybrid;
 
-pub use cache::{
-    config_fingerprint, fingerprint, ContentHasher, Fingerprint, FitCache, FitCacheStats,
-    FitOutcome,
-};
+pub use cache::{fingerprint, ContentHasher, Fingerprint, FitCache, FitCacheStats};
 pub use dataset::{TrainingData, TrainingExample};
 pub use hybrid::{
     HybridRecommender, Recommendation, RecommenderConfig, RecommenderStats, SimilarityScore,

@@ -32,17 +32,6 @@ impl ProbeFaultKind {
             ProbeFaultKind::Blackout => "blackout",
         }
     }
-
-    /// Parses a wire name back into a kind.
-    pub fn parse(s: &str) -> Option<ProbeFaultKind> {
-        [
-            ProbeFaultKind::DroppedSample,
-            ProbeFaultKind::TruncatedSample,
-            ProbeFaultKind::Blackout,
-        ]
-        .into_iter()
-        .find(|k| k.as_str() == s)
-    }
 }
 
 /// One recorded cluster event.
@@ -180,15 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_fault_kinds_round_trip() {
-        for kind in [
-            ProbeFaultKind::DroppedSample,
-            ProbeFaultKind::TruncatedSample,
-            ProbeFaultKind::Blackout,
-        ] {
-            assert_eq!(ProbeFaultKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(ProbeFaultKind::parse("nope"), None);
+    fn probe_fault_names_its_vm_and_kind() {
         let e = TraceEvent::ProbeFault {
             vm: VmId::from_raw_for_tests(5),
             kind: ProbeFaultKind::Blackout,

@@ -5,7 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # First-party packages. Vendored crates under vendor/ are imported verbatim
-# and deliberately left out of the formatting gate.
+# and deliberately left out of the formatting and rustdoc gates.
 FIRST_PARTY=(-p bolt-repro -p bolt -p bolt-sim -p bolt-linalg -p bolt-workloads
              -p bolt-probes -p bolt-recommender -p bolt-bench)
 
@@ -26,6 +26,9 @@ cargo test --workspace --doc -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (first-party packages: no broken or private doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 
 echo "==> cargo bench --no-run (bench harnesses must compile)"
 cargo bench --no-run --workspace

@@ -111,14 +111,37 @@ FLAGS (all optional):
     --storm X         storm-injector intensity in [0,1]       (default 0)
     --chaos-intensity X  cluster-churn intensity in [0,1]     (default 0)
     --threads N       worker-lane thread fan-out (byte-identical at any N)
-    --warm-refit      seed recommender refits from cached same-config models
     --region          serve against a region-scale cluster (zero-noise region
                       tenants, shared sweep memo, duplicate co-arrivals)
     --telemetry PATH  write a JSONL telemetry trace of the run to PATH";
 
-/// Flags that take no value: `--mrc` alone means `--mrc true`, while an
-/// explicit `--mrc false` (or `=false`) still parses.
-const BOOLEAN_FLAGS: [&str; 5] = ["mrc", "anytime", "no-fit-cache", "warm-refit", "region"];
+/// Every flag [`USAGE`] documents, paired with whether it takes a value.
+/// Boolean flags (`false`) need none: `--mrc` alone means `--mrc true`,
+/// while an explicit `--mrc false` (or `=false`) still parses.
+const FLAGS: [(&str, bool); 22] = [
+    ("servers", true),
+    ("victims", true),
+    ("instances", true),
+    ("jobs", true),
+    ("vms-per-server", true),
+    ("steps", true),
+    ("seed", true),
+    ("mrc", false),
+    ("anytime", false),
+    ("confidence-threshold", true),
+    ("no-fit-cache", false),
+    ("requests", true),
+    ("rate", true),
+    ("workers", true),
+    ("queue-cap", true),
+    ("deadline", true),
+    ("shed", true),
+    ("storm", true),
+    ("chaos-intensity", true),
+    ("threads", true),
+    ("region", false),
+    ("telemetry", true),
+];
 
 /// Parsed `--flag value` pairs (also accepts `--flag=value`). Values stay
 /// strings until a command asks for them, so path-valued flags like
@@ -194,11 +217,16 @@ fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{flag}`"));
         };
-        let (name, value) = match name.split_once('=') {
-            Some((name, value)) => (name.to_string(), value.to_string()),
-            None if BOOLEAN_FLAGS.contains(&name)
-                && args.peek().is_none_or(|next| next.starts_with("--")) =>
-            {
+        let (name, inline) = match name.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (name, None),
+        };
+        let Some(&(_, takes_value)) = FLAGS.iter().find(|(known, _)| *known == name) else {
+            return Err(format!("unknown flag `--{name}`"));
+        };
+        let (name, value) = match inline {
+            Some(value) => (name.to_string(), value.to_string()),
+            None if !takes_value && args.peek().is_none_or(|next| next.starts_with("--")) => {
                 // A bare boolean flag: the next token (if any) is another
                 // flag, so this one means "true".
                 (name.to_string(), "true".to_string())
@@ -712,7 +740,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             requests: flags.usize("requests", base.requests)?,
             workers: flags.usize("workers", base.workers)?,
             queue_capacity: flags.usize("queue-cap", base.queue_capacity)?,
-            warm_refit: flags.bool("warm-refit")?,
             ..base
         }
     } else {
@@ -722,7 +749,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             requests: flags.usize("requests", 200)?,
             workers: flags.usize("workers", 3)?,
             queue_capacity: flags.usize("queue-cap", 6)?,
-            warm_refit: flags.bool("warm-refit")?,
             ..ServiceConfig::default()
         }
     };
@@ -867,8 +893,97 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flags;
+    use super::{parse_flags, FLAGS, USAGE};
+    use proptest::prelude::*;
     use std::path::PathBuf;
+
+    fn parse(args: &[&str]) -> Result<super::Flags, String> {
+        parse_flags(args.iter().map(|s| s.to_string()))
+    }
+
+    fn rejection(args: &[&str]) -> String {
+        match parse(args) {
+            Ok(_) => panic!("{args:?} should not parse"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn parse_flags_rejects_unknown_names() {
+        // A misspelt flag is an error, not a silently ignored pair.
+        let e = rejection(&["--requests", "5", "--thread", "3"]);
+        assert!(e.contains("`--thread`"), "{e}");
+        // An unknown flag is rejected before it can swallow the next flag
+        // as its value.
+        let e = rejection(&["--bogus", "--threads", "3"]);
+        assert!(e.contains("`--bogus`"), "{e}");
+        // A trailing unknown switch is reported as unknown, not as a flag
+        // missing its value.
+        let e = rejection(&["--servers", "4", "--fit-cache"]);
+        assert!(e.contains("unknown flag `--fit-cache`"), "{e}");
+        let e = rejection(&["--rgion=true"]);
+        assert!(e.contains("`--rgion`"), "{e}");
+    }
+
+    #[test]
+    fn flag_table_matches_the_usage_text() {
+        for (name, _) in FLAGS {
+            assert!(
+                USAGE.contains(&format!("--{name} ")),
+                "--{name} undocumented"
+            );
+        }
+        let documented = USAGE
+            .lines()
+            .filter(|line| line.trim_start().starts_with("--"))
+            .count();
+        assert_eq!(documented, FLAGS.len());
+    }
+
+    /// Non-table tokens for generated command lines: near misses, bare
+    /// values, and malformed dashes.
+    const NOISE: [&str; 12] = [
+        "--thread",
+        "--bogus",
+        "--fit-cache",
+        "--",
+        "--=3",
+        "-v",
+        "3",
+        "true",
+        "abc",
+        "",
+        "--mrc=",
+        "--seed=-1",
+    ];
+
+    /// Token `i` of the generated vocabulary: every table flag bare, then
+    /// every table flag with an inline value, then [`NOISE`].
+    fn token(i: usize) -> String {
+        let n = FLAGS.len();
+        match i {
+            i if i < n => format!("--{}", FLAGS[i].0),
+            i if i < 2 * n => format!("--{}=7", FLAGS[i - n].0),
+            i => NOISE[i - 2 * n].to_string(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn parse_flags_accepts_only_table_names(
+            picks in proptest::collection::vec(0..2 * FLAGS.len() + NOISE.len(), 0..10)
+        ) {
+            let args: Vec<String> = picks.into_iter().map(token).collect();
+            if let Ok(flags) = parse_flags(args.clone().into_iter()) {
+                for name in flags.0.keys() {
+                    prop_assert!(
+                        FLAGS.iter().any(|(known, _)| known == name),
+                        "accepted `--{}` from {:?}", name, args
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn parse_flags_accepts_pairs() {
