@@ -247,6 +247,13 @@ impl FaultPlan {
     /// (the ground truth).
     pub fn protect(&mut self, vms: &[VmId]) {
         self.protected.extend_from_slice(vms);
+        self.protected.sort_unstable();
+        self.protected.dedup();
+    }
+
+    /// Whether `id` is protected (the list is kept sorted and deduplicated).
+    fn is_protected(&self, id: VmId) -> bool {
+        self.protected.binary_search(&id).is_ok()
     }
 
     /// The compiled schedule, for inspection.
@@ -353,25 +360,22 @@ impl FaultPlan {
     }
 
     /// Picks any unprotected friendly VM (for in-place workload swaps):
-    /// counts the candidates, draws one index, then walks to it, so a
-    /// swap allocates nothing however large the region is.
+    /// the candidate count is the cluster's live friendly count minus the
+    /// live protected friendly VMs, so one draw and one walk to the drawn
+    /// candidate suffice, and a swap allocates nothing however large the
+    /// region is.
     fn pick_tenant(&mut self, cluster: &Cluster) -> Option<VmId> {
-        let protected = &self.protected;
-        let candidates = || {
-            cluster.vm_ids().filter(|id| {
-                !protected.contains(id)
-                    && cluster
-                        .vm(*id)
-                        .map(|s| s.role == VmRole::Friendly)
-                        .unwrap_or(false)
-            })
-        };
-        let count = candidates().count();
+        let friendly = |id: VmId| cluster.vm(id).is_ok_and(|s| s.role == VmRole::Friendly);
+        let shielded = self.protected.iter().filter(|&&id| friendly(id)).count();
+        let count = cluster.friendly_vms() - shielded;
         if count == 0 {
             return None;
         }
         let idx = self.rng.gen_range(0..count);
-        candidates().nth(idx)
+        cluster
+            .vm_ids()
+            .filter(|&id| friendly(id) && !self.is_protected(id))
+            .nth(idx)
     }
 
     /// Zhang-style migrate-on-contention: find the hottest server; if it
@@ -397,7 +401,7 @@ impl FaultPlan {
             .iter()
             .copied()
             .filter(|&id| {
-                !self.protected.contains(&id)
+                !self.is_protected(id)
                     && cluster
                         .vm(id)
                         .map(|s| s.role == VmRole::Friendly)
@@ -765,6 +769,42 @@ mod tests {
         plan.apply_due(&mut c, 600.0).unwrap();
         let state = c.vm(protected).expect("protected vm must survive");
         assert_eq!(state.profile.label(), &label_before);
+    }
+
+    #[test]
+    fn pick_tenant_draws_and_picks_as_a_full_count_would() {
+        let mut c = seeded(3);
+        let mut rng = StdRng::seed_from_u64(5);
+        for role in [VmRole::Adversarial, VmRole::Friendly] {
+            for s in 0..3 {
+                let p = catalog::memcached::profile(&catalog::memcached::Variant::Mixed, &mut rng)
+                    .with_vcpus(2);
+                c.launch_on(s, p, role, 0.0).unwrap();
+            }
+        }
+        let ids: Vec<VmId> = c.vm_ids().collect();
+        // Duplicates, an adversary and a departed VM among the protected.
+        let gone = ids[1];
+        let mut plan = FaultPlan::compile(&ChaosConfig::with_intensity(1.0), 8, 0, 0.0, 60.0);
+        plan.protect(&[ids[0], ids[3], ids[0]]);
+        plan.protect(&[gone, ids[4]]);
+        c.terminate(gone).unwrap();
+        for _ in 0..16 {
+            // The reference: count every candidate, draw, walk again.
+            let mut reference = plan.clone();
+            let candidates = || {
+                c.vm_ids().filter(|&id| {
+                    !reference.protected.contains(&id) && c.vm(id).unwrap().role == VmRole::Friendly
+                })
+            };
+            let count = candidates().count();
+            assert_eq!(count, 4, "five live friendly VMs, one protected");
+            let idx = reference.rng.clone().gen_range(0..count);
+            let expected = candidates().nth(idx);
+            reference.rng.gen_range(0..count);
+            assert_eq!(plan.pick_tenant(&c), expected);
+            assert_eq!(plan.rng.gen::<u64>(), reference.rng.gen::<u64>());
+        }
     }
 
     #[test]

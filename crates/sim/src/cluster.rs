@@ -23,7 +23,7 @@ use bolt_workloads::{
 use crate::error::SimError;
 use crate::isolation::IsolationConfig;
 use crate::server::{Server, ServerSpec};
-use crate::storage::{AggCache, SweepMemo, VmArena};
+use crate::storage::{AggCache, Placement, SweepMemo};
 use crate::trace::TraceEvent;
 use crate::vm::{VmId, VmRole, VmState};
 
@@ -51,25 +51,16 @@ pub struct StorageStats {
     /// queries. With the residency index this grows with co-residents
     /// per query, never with total cluster size.
     pub neighbor_visits: u64,
-    /// Whole-placement copies this instance made because its placement
-    /// was still shared with a [`Cluster::snapshot`] when it wrote: at
-    /// most one per sharing, and 0 for an instance that only reads.
+    /// Placement copies this instance made because its placement was
+    /// still shared with a [`Cluster::snapshot`] when it wrote: at most
+    /// one per sharing, and 0 for an instance that only reads. A copy
+    /// duplicates the per-server and per-VM pointers, never a server's or
+    /// a VM's contents.
     pub placement_copies: u64,
-}
-
-/// The placement tables a [`Cluster::snapshot`] shares copy-on-write:
-/// every server's slot map, the VM arena with its residency index, and
-/// per-server degradation. Everything that answers "who runs where" lives
-/// here; memos, counters, the event log and the isolation config stay
-/// per instance.
-#[derive(Debug, Clone)]
-struct Placement {
-    servers: Vec<Server>,
-    vms: VmArena,
-    /// Per-server capacity degradation in `[0, 1)`; 0 means full capacity.
-    /// Only the chaos engine sets this, so the vector stays all-zero (and
-    /// the physics below stay branch-only, bit-identical) in chaos-off runs.
-    degradation: Vec<f64>,
+    /// Server records this instance copied because they were still shared
+    /// when a write touched them: at most one per server written per
+    /// sharing, and 0 for an instance that only reads.
+    pub server_copies: u64,
 }
 
 /// A running cluster of servers hosting VMs.
@@ -109,10 +100,15 @@ pub struct Cluster {
     neighbor_visits: AtomicU64,
     /// Placement copies [`Cluster::placement_mut`] has made.
     placement_copies: u64,
+    /// Server records [`Cluster::placement_mut`] has copied.
+    server_copies: u64,
     /// Test-only escape hatch: scan the whole arena per query, bypassing
-    /// the residency index and the aggregate cache, reproducing the old
-    /// `BTreeMap` storage path. The storage-equivalence proptest drives
-    /// both modes through identical schedules and compares every output.
+    /// the residency index and every memo, reproducing the old `BTreeMap`
+    /// storage path. The storage-equivalence proptest drives both modes
+    /// through identical schedules and compares every output. Compiled
+    /// only into tests and the `reference` feature, so a release binary
+    /// cannot take it.
+    #[cfg(any(test, feature = "reference"))]
     reference_scan: bool,
     /// Cross-snapshot sweep memo ([`SweepMemo`]): probe queries answered
     /// once for every concurrent hunt sharing this handle. `None` until a
@@ -139,34 +135,38 @@ impl Cluster {
             .map(|_| Server::new(spec))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Cluster {
-            placement: Arc::new(Placement {
-                servers,
-                vms: VmArena::new(n),
-                degradation: vec![0.0; n],
-            }),
+            placement: Arc::new(Placement::new(servers)),
             isolation,
             next_id: 0,
             events: Vec::new(),
             agg: Mutex::new(AggCache::default()),
             neighbor_visits: AtomicU64::new(0),
             placement_copies: 0,
+            server_copies: 0,
+            #[cfg(any(test, feature = "reference"))]
             reference_scan: false,
             shared: None,
         })
     }
 
-    /// Write access to the placement: the one funnel every server, arena
-    /// and degradation write goes through. While a snapshot (or the
-    /// cluster it was taken from) still shares the placement, the first
-    /// write copies it whole; later writes find it unshared and copy
-    /// nothing. Callers validate first, so a rejected operation never
-    /// pays for (or counts) a copy.
-    fn placement_mut(&mut self) -> &mut Placement {
+    /// Write access to the placement for a write that touches `servers`:
+    /// the one funnel every slot-map, residency, VM-state and degradation
+    /// write goes through. While a snapshot (or the cluster it was taken
+    /// from) still shares the placement, the first write copies its
+    /// pointer tables; each named server record still shared is then
+    /// copied, and the rest stay shared. Callers validate first, so a
+    /// rejected operation never pays for (or counts) a copy.
+    ///
+    /// Every write also drops the memoized aggregates and detaches the
+    /// shared sweep memo (see [`Cluster::invalidate_aggregates`]).
+    fn placement_mut(&mut self, servers: &[usize]) -> &mut Placement {
+        self.invalidate_aggregates();
         let shared = Arc::as_ptr(&self.placement);
         let placement = Arc::make_mut(&mut self.placement);
         if !std::ptr::eq(shared, placement) {
             self.placement_copies += 1;
         }
+        self.server_copies += placement.own(servers);
         placement
     }
 
@@ -193,34 +193,50 @@ impl Cluster {
         self.shared = Some(memo);
     }
 
+    /// Whether queries take the full-arena reference scan.
+    #[cfg(any(test, feature = "reference"))]
+    fn reference(&self) -> bool {
+        self.reference_scan
+    }
+
+    /// Whether queries take the full-arena reference scan: never, outside
+    /// tests and the `reference` feature.
+    #[cfg(not(any(test, feature = "reference")))]
+    #[inline(always)]
+    fn reference(&self) -> bool {
+        false
+    }
+
     /// True when every resident of `server` emits deterministically
     /// (pressure override set, or zero profile noise), so query results
     /// are pure functions of cluster state and may be memoized. The
     /// stochastic path draws RNG per neighbor in a fixed order; caching
     /// it would skip draws and shift the stream, so it is excluded.
     fn cacheable(&self, server: usize) -> bool {
-        !self.reference_scan && self.placement.vms.stochastic_on(server) == 0
+        !self.reference() && self.placement.stochastic_on(server) == 0
     }
 
     /// Storage-layer instrumentation counters.
     pub fn storage_stats(&self) -> StorageStats {
         let agg = self.agg.lock().expect("cache lock poisoned");
         StorageStats {
-            live_vms: self.placement.vms.len(),
-            arena_slots: self.placement.vms.slots(),
-            free_slots: self.placement.vms.free_slots(),
-            slots_reused: self.placement.vms.slots_reused,
-            residency_ops: self.placement.vms.residency_ops,
+            live_vms: self.placement.len(),
+            arena_slots: self.placement.slots(),
+            free_slots: self.placement.free_slots(),
+            slots_reused: self.placement.slots_reused,
+            residency_ops: self.placement.residency_ops,
             agg_hits: agg.hits,
             agg_misses: agg.misses,
             neighbor_visits: self.neighbor_visits.load(Ordering::Relaxed),
             placement_copies: self.placement_copies,
+            server_copies: self.server_copies,
         }
     }
 
-    /// Forces every query back onto a full-arena scan with no aggregate
-    /// caching — the exact visit order of the old global-map storage.
-    /// Only the storage-equivalence tests should enable this.
+    /// Forces every query back onto a full-arena scan with no memo of any
+    /// kind — the exact visit order of the old global-map storage. Only
+    /// the storage-equivalence tests enable this.
+    #[cfg(any(test, feature = "reference"))]
     #[doc(hidden)]
     pub fn set_reference_scan(&mut self, on: bool) {
         self.reference_scan = on;
@@ -229,7 +245,15 @@ impl Cluster {
 
     /// Number of servers.
     pub fn server_count(&self) -> usize {
-        self.placement.servers.len()
+        self.placement.records().len()
+    }
+
+    /// The error for a server index outside the cluster.
+    fn unknown_server(&self, server: usize) -> SimError {
+        SimError::UnknownServer {
+            server,
+            cluster_size: self.server_count(),
+        }
     }
 
     /// The active isolation configuration.
@@ -255,20 +279,16 @@ impl Cluster {
     /// * [`SimError::UnknownServer`] for a bad server index.
     /// * [`SimError::InvalidConfig`] if `factor` is not in `[0, 1)`.
     pub fn set_degradation(&mut self, server: usize, factor: f64, at: f64) -> Result<(), SimError> {
-        if server >= self.placement.servers.len() {
-            return Err(SimError::UnknownServer {
-                server,
-                cluster_size: self.placement.servers.len(),
-            });
+        if server >= self.server_count() {
+            return Err(self.unknown_server(server));
         }
         if !(0.0..1.0).contains(&factor) {
             return Err(SimError::InvalidConfig {
                 reason: format!("degradation factor {factor} outside [0, 1)"),
             });
         }
-        self.placement_mut().degradation[server] = factor;
+        self.placement_mut(&[server]).record_mut(server).degradation = factor;
         self.events.push(TraceEvent::Degrade { server, factor, at });
-        self.invalidate_aggregates();
         Ok(())
     }
 
@@ -279,13 +299,10 @@ impl Cluster {
     /// Returns [`SimError::UnknownServer`] for a bad index.
     pub fn degradation_of(&self, server: usize) -> Result<f64, SimError> {
         self.placement
-            .degradation
+            .records()
             .get(server)
-            .copied()
-            .ok_or(SimError::UnknownServer {
-                server,
-                cluster_size: self.placement.servers.len(),
-            })
+            .map(|r| r.degradation)
+            .ok_or_else(|| self.unknown_server(server))
     }
 
     /// A server's slot state.
@@ -295,12 +312,10 @@ impl Cluster {
     /// Returns [`SimError::UnknownServer`] for an out-of-range index.
     pub fn server(&self, idx: usize) -> Result<&Server, SimError> {
         self.placement
-            .servers
+            .records()
             .get(idx)
-            .ok_or(SimError::UnknownServer {
-                server: idx,
-                cluster_size: self.placement.servers.len(),
-            })
+            .map(|r| &r.server)
+            .ok_or_else(|| self.unknown_server(idx))
     }
 
     /// A placed VM's state.
@@ -309,22 +324,24 @@ impl Cluster {
     ///
     /// Returns [`SimError::UnknownVm`] if the VM does not exist.
     pub fn vm(&self, id: VmId) -> Result<&VmState, SimError> {
-        self.placement
-            .vms
-            .get(id)
-            .ok_or(SimError::UnknownVm { vm: id })
+        self.placement.get(id).ok_or(SimError::UnknownVm { vm: id })
     }
 
     /// All VM ids, in launch order. Borrows the arena instead of
     /// allocating: per-tick driver loops call this on every sweep.
     pub fn vm_ids(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.placement.vms.iter_ids()
+        self.placement.iter_ids()
+    }
+
+    /// Live VMs with [`VmRole::Friendly`], counted in O(1).
+    pub(crate) fn friendly_vms(&self) -> usize {
+        self.placement.friendly()
     }
 
     /// VMs hosted on one server, sorted by ascending id — a borrow of the
     /// residency index, O(1) to obtain.
     pub fn vms_on(&self, server: usize) -> &[VmId] {
-        self.placement.vms.on_server(server)
+        self.placement.on_server(server)
     }
 
     /// Launches a VM on a specific server.
@@ -340,42 +357,19 @@ impl Cluster {
         role: VmRole,
         at: f64,
     ) -> Result<VmId, SimError> {
-        if server >= self.placement.servers.len() {
-            return Err(SimError::UnknownServer {
-                server,
-                cluster_size: self.placement.servers.len(),
-            });
-        }
-        let id = VmId(self.next_id);
-        let vcpus = profile.vcpus();
         let core_iso = self.isolation.mechanisms.core_isolation;
-        self.placement.servers[server]
+        let vcpus = profile.vcpus();
+        self.server(server)?
             .check_fit(vcpus, core_iso)
             .map_err(|e| at_server(e, server))?;
-        let threads = self.placement_mut().servers[server]
+        let id = VmId(self.next_id);
+        let placement = self.placement_mut(&[server]);
+        let threads = placement
+            .record_mut(server)
+            .server
             .place(id, vcpus, core_iso)
             .expect("fit just checked");
-        self.next_id += 1;
-        self.events.push(TraceEvent::Launch {
-            vm: id,
-            role,
-            server,
-            threads: threads.clone(),
-            label: profile.label().to_string(),
-            at,
-        });
-        self.placement_mut().vms.insert(
-            id,
-            VmState {
-                profile,
-                role,
-                server,
-                threads,
-                launched_at: at,
-                pressure_override: None,
-            },
-        );
-        self.invalidate_aggregates();
+        self.record_launch(id, profile, role, server, threads, at);
         Ok(id)
     }
 
@@ -402,20 +396,32 @@ impl Cluster {
                 reason: "user pinning is incompatible with core isolation".to_string(),
             });
         }
-        if server >= self.placement.servers.len() {
-            return Err(SimError::UnknownServer {
-                server,
-                cluster_size: self.placement.servers.len(),
-            });
-        }
-        let id = VmId(self.next_id);
         let vcpus = profile.vcpus();
-        self.placement.servers[server]
+        self.server(server)?
             .check_fit(vcpus, false)
             .map_err(|e| at_server(e, server))?;
-        let threads = self.placement_mut().servers[server]
+        let id = VmId(self.next_id);
+        let placement = self.placement_mut(&[server]);
+        let threads = placement
+            .record_mut(server)
+            .server
             .place_pinned(id, vcpus, rng)
             .expect("fit just checked");
+        self.record_launch(id, profile, role, server, threads, at);
+        Ok(id)
+    }
+
+    /// Finishes a launch whose threads are already placed: logs the event
+    /// and indexes the VM.
+    fn record_launch(
+        &mut self,
+        id: VmId,
+        profile: WorkloadProfile,
+        role: VmRole,
+        server: usize,
+        threads: Vec<usize>,
+        at: f64,
+    ) {
         self.next_id += 1;
         self.events.push(TraceEvent::Launch {
             vm: id,
@@ -425,7 +431,7 @@ impl Cluster {
             label: profile.label().to_string(),
             at,
         });
-        self.placement_mut().vms.insert(
+        self.placement_mut(&[server]).insert(
             id,
             VmState {
                 profile,
@@ -436,8 +442,6 @@ impl Cluster {
                 pressure_override: None,
             },
         );
-        self.invalidate_aggregates();
-        Ok(id)
     }
 
     /// Terminates a VM, freeing its threads. Idempotent-ish: terminating an
@@ -447,15 +451,11 @@ impl Cluster {
     ///
     /// Returns [`SimError::UnknownVm`] if the VM does not exist.
     pub fn terminate(&mut self, id: VmId) -> Result<(), SimError> {
-        self.vm(id)?;
-        let placement = self.placement_mut();
-        let state = placement.vms.remove(id).expect("vm is live");
-        placement.servers[state.server].remove(id);
-        self.events.push(TraceEvent::Terminate {
-            vm: id,
-            server: state.server,
-        });
-        self.invalidate_aggregates();
+        let server = self.vm(id)?.server;
+        let placement = self.placement_mut(&[server]);
+        placement.remove(id).expect("vm is live");
+        placement.record_mut(server).server.remove(id);
+        self.events.push(TraceEvent::Terminate { vm: id, server });
         Ok(())
     }
 
@@ -469,36 +469,28 @@ impl Cluster {
     /// * [`SimError::InsufficientCapacity`] if the target is full; the VM
     ///   stays where it was.
     pub fn migrate(&mut self, id: VmId, to: usize) -> Result<(), SimError> {
-        if to >= self.placement.servers.len() {
-            return Err(SimError::UnknownServer {
-                server: to,
-                cluster_size: self.placement.servers.len(),
-            });
-        }
+        let target = self.server(to)?;
         let (from, vcpus) = {
-            let state = self
-                .placement
-                .vms
-                .get(id)
-                .ok_or(SimError::UnknownVm { vm: id })?;
+            let state = self.vm(id)?;
             (state.server, state.vcpus())
         };
         let core_iso = self.isolation.mechanisms.core_isolation;
-        if !self.placement.servers[to].can_host(vcpus, core_iso) {
+        if !target.can_host(vcpus, core_iso) {
             return Err(SimError::InsufficientCapacity {
                 server: to,
                 requested: vcpus,
-                available: self.placement.servers[to].free_threads(),
+                available: target.free_threads(),
             });
         }
-        let placement = self.placement_mut();
-        placement.servers[from].remove(id);
-        let threads = placement.servers[to]
+        let placement = self.placement_mut(&[from, to]);
+        placement.record_mut(from).server.remove(id);
+        let threads = placement
+            .record_mut(to)
+            .server
             .place(id, vcpus, core_iso)
             .expect("capacity just checked");
-        placement.vms.relocate(id, to, threads);
+        placement.relocate(id, to, threads);
         self.events.push(TraceEvent::Migrate { vm: id, from, to });
-        self.invalidate_aggregates();
         Ok(())
     }
 
@@ -515,11 +507,7 @@ impl Cluster {
     ///   not fit (the original VM is restored).
     pub fn swap_profile(&mut self, id: VmId, profile: WorkloadProfile) -> Result<(), SimError> {
         let (server, old_vcpus) = {
-            let state = self
-                .placement
-                .vms
-                .get(id)
-                .ok_or(SimError::UnknownVm { vm: id })?;
+            let state = self.vm(id)?;
             (state.server, state.vcpus())
         };
         if profile.vcpus() == old_vcpus {
@@ -527,29 +515,27 @@ impl Cluster {
                 vm: id,
                 label: profile.label().to_string(),
             });
-            self.placement_mut().vms.set_profile(id, profile, None);
-            self.invalidate_aggregates();
+            self.placement_mut(&[server]).set_profile(id, profile, None);
             return Ok(());
         }
         let core_iso = self.isolation.mechanisms.core_isolation;
-        let placement = self.placement_mut();
-        placement.servers[server].remove(id);
-        match placement.servers[server].place(id, profile.vcpus(), core_iso) {
+        let placement = self.placement_mut(&[server]);
+        let slots = &mut placement.record_mut(server).server;
+        slots.remove(id);
+        match slots.place(id, profile.vcpus(), core_iso) {
             Ok(threads) => {
                 let label = profile.label().to_string();
-                placement.vms.set_profile(id, profile, Some(threads));
+                placement.set_profile(id, profile, Some(threads));
                 self.events.push(TraceEvent::SwapProfile { vm: id, label });
-                self.invalidate_aggregates();
                 Ok(())
             }
             Err(e) => {
-                // Restore the old placement before reporting.
-                let threads = placement.servers[server]
+                // Restore the old placement before reporting. Re-placement
+                // may land on different threads than before.
+                let threads = slots
                     .place(id, old_vcpus, core_iso)
                     .expect("old placement fit before");
-                placement.vms.set_threads(id, threads);
-                // Re-placement may land on different threads than before.
-                self.invalidate_aggregates();
+                placement.set_threads(id, threads);
                 Err(at_server(e, server))
             }
         }
@@ -566,10 +552,9 @@ impl Cluster {
         id: VmId,
         pressure: Option<PressureVector>,
     ) -> Result<(), SimError> {
-        self.vm(id)?;
-        let known = self.placement_mut().vms.set_override(id, pressure);
+        let server = self.vm(id)?.server;
+        let known = self.placement_mut(&[server]).set_override(id, pressure);
         debug_assert!(known, "liveness checked above");
-        self.invalidate_aggregates();
         Ok(())
     }
 
@@ -631,10 +616,12 @@ impl Cluster {
     ) -> Result<PressureVector, SimError> {
         let state = self
             .placement
-            .vms
             .get(id)
             .ok_or(SimError::UnknownVm { vm: id })?;
-        let tpc = self.placement.servers[state.server].spec().threads_per_core;
+        let tpc = self.placement.records()[state.server]
+            .server
+            .spec()
+            .threads_per_core;
         let my_cores = state.cores(tpc);
         let Some(&physical_core) = my_cores.get(core) else {
             return Err(SimError::InvalidConfig {
@@ -691,20 +678,19 @@ impl Cluster {
         t: f64,
         rng: &mut R,
     ) -> PressureVector {
-        let tpc = self.placement.servers[state.server].spec().threads_per_core;
+        let tpc = self.placement.records()[state.server]
+            .server
+            .spec()
+            .threads_per_core;
         let atten = self.isolation.attenuation_array();
         let mut total = PressureVector::zero();
-        if self.reference_scan {
-            for other_id in self.placement.vms.iter_ids() {
+        if self.reference() {
+            for other_id in self.placement.iter_ids() {
                 self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
                 if other_id == id {
                     continue;
                 }
-                let other = self
-                    .placement
-                    .vms
-                    .get(other_id)
-                    .expect("iterated id is live");
+                let other = self.placement.get(other_id).expect("iterated id is live");
                 if other.server != state.server || !other.cores(tpc).contains(&physical_core) {
                     continue;
                 }
@@ -713,16 +699,19 @@ impl Cluster {
         } else {
             // Sibling owners in ascending id order — the same visit order
             // (and therefore RNG draw order) the full scan would produce.
-            for other_id in self.placement.servers[state.server].core_occupants(physical_core) {
+            for other_id in self.placement.records()[state.server]
+                .server
+                .core_occupants(physical_core)
+            {
                 self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
                 if other_id == id {
                     continue;
                 }
-                let other = self.placement.vms.get(other_id).expect("occupant is live");
+                let other = self.placement.get(other_id).expect("occupant is live");
                 self.add_core_contribution(other, t, rng, &atten, &mut total);
             }
         }
-        let d = self.placement.degradation[state.server];
+        let d = self.placement.records()[state.server].degradation;
         if d > 0.0 {
             for r in Resource::CORE {
                 total[r] = (total[r] * (1.0 + d)).min(100.0);
@@ -772,7 +761,6 @@ impl Cluster {
     ) -> Result<PressureVector, SimError> {
         let state = self
             .placement
-            .vms
             .get(id)
             .ok_or(SimError::UnknownVm { vm: id })?;
         Ok(self.interference_from_neighbors(id, state, t, rng, true))
@@ -813,7 +801,6 @@ impl Cluster {
         }
         let state = self
             .placement
-            .vms
             .get(id)
             .ok_or(SimError::UnknownVm { vm: id })?;
         if self.cacheable(state.server) {
@@ -863,18 +850,18 @@ impl Cluster {
         let atten = self.isolation.attenuation(Resource::Llc);
         let mut total = 0.0;
         let full: Vec<VmId>;
-        let candidates: &[VmId] = if self.reference_scan {
-            full = self.placement.vms.iter_ids().collect();
+        let candidates: &[VmId] = if self.reference() {
+            full = self.placement.iter_ids().collect();
             &full
         } else {
-            self.placement.vms.on_server(state.server)
+            self.placement.on_server(state.server)
         };
         for &other_id in candidates {
             self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
             if other_id == id {
                 continue;
             }
-            let other = self.placement.vms.get(other_id).expect("candidate is live");
+            let other = self.placement.get(other_id).expect("candidate is live");
             if other.server != state.server {
                 continue; // reference mode scans the whole arena
             }
@@ -890,7 +877,7 @@ impl Cluster {
             };
             total += response * atten;
         }
-        let d = self.placement.degradation[state.server];
+        let d = self.placement.records()[state.server].degradation;
         if d > 0.0 {
             total = (total * (1.0 + d)).min(100.0);
         }
@@ -955,7 +942,7 @@ impl Cluster {
         rng: &mut R,
         couple_progress: bool,
     ) -> PressureVector {
-        let server = &self.placement.servers[state.server];
+        let server = &self.placement.records()[state.server].server;
         let tpc = server.spec().threads_per_core;
         let my_cores = state.cores(tpc);
         // Attenuation depends only on the isolation config: hoist all ten
@@ -972,18 +959,18 @@ impl Cluster {
         let mut has_static_sharer = false;
 
         let full: Vec<VmId>;
-        let candidates: &[VmId] = if self.reference_scan {
-            full = self.placement.vms.iter_ids().collect();
+        let candidates: &[VmId] = if self.reference() {
+            full = self.placement.iter_ids().collect();
             &full
         } else {
-            self.placement.vms.on_server(state.server)
+            self.placement.on_server(state.server)
         };
         for &other_id in candidates {
             self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
             if other_id == id {
                 continue;
             }
-            let other = self.placement.vms.get(other_id).expect("candidate is live");
+            let other = self.placement.get(other_id).expect("candidate is live");
             if other.server != state.server {
                 continue; // reference mode scans the whole arena
             }
@@ -995,8 +982,12 @@ impl Cluster {
                     None => other.profile.pressure_at(t, 1.0, rng),
                 }
             };
-            let other_cores = other.cores(tpc);
-            let shares_core = my_cores.iter().any(|c| other_cores.contains(c));
+            // Tested thread by thread: building the neighbor's core list
+            // would allocate once per neighbor per scan.
+            let shares_core = other
+                .threads
+                .iter()
+                .any(|&t| my_cores.contains(&(t / tpc as usize)));
             has_static_sharer |= shares_core;
 
             // Core lanes are only visible from static core-sharers; zeroing
@@ -1036,7 +1027,7 @@ impl Cluster {
         // A throttled server has less effective capacity, so the same
         // co-resident demand fills more of it. The branch keeps the math
         // bit-identical when no degradation was ever injected.
-        let d = self.placement.degradation[state.server];
+        let d = self.placement.records()[state.server].degradation;
         if d > 0.0 {
             kernels::sat_scale(total.as_mut_array(), 1.0 + d, 100.0);
         }
@@ -1060,30 +1051,26 @@ impl Cluster {
         t: f64,
         rng: &mut R,
     ) -> Result<f64, SimError> {
-        if server >= self.placement.servers.len() {
-            return Err(SimError::UnknownServer {
-                server,
-                cluster_size: self.placement.servers.len(),
-            });
+        let record = self
+            .placement
+            .records()
+            .get(server)
+            .ok_or_else(|| self.unknown_server(server))?;
+        if self.reference() {
+            return Ok(self.utilization_scan(server, t, rng));
         }
-        if self.cacheable(server) {
-            let t_bits = t.to_bits();
-            if let Some(v) = self
-                .agg
-                .lock()
-                .expect("cache lock poisoned")
-                .get_utilization(server, t_bits)
-            {
-                return Ok(v);
-            }
-            let v = self.utilization_scan(server, t, rng);
-            self.agg
-                .lock()
-                .expect("cache lock poisoned")
-                .put_utilization(server, t_bits, v);
+        // The monitor reads every server once per check, each time at a
+        // new instant, so only a time-free memo ever hits. It is filled
+        // where every resident is time-invariant: there the scan draws no
+        // RNG and its result is the same at every `t`.
+        if let Some(v) = record.utilization(&self.isolation) {
             return Ok(v);
         }
-        Ok(self.utilization_scan(server, t, rng))
+        let v = self.utilization_scan(server, t, rng);
+        if self.placement.time_invariant(server) {
+            record.remember_utilization(self.isolation, v);
+        }
+        Ok(v)
     }
 
     /// The uncached utilization walk over one server's residents.
@@ -1091,15 +1078,15 @@ impl Cluster {
         let mut busy = 0.0;
         let mut occupied = 0u32;
         let full: Vec<VmId>;
-        let candidates: &[VmId] = if self.reference_scan {
-            full = self.placement.vms.iter_ids().collect();
+        let candidates: &[VmId] = if self.reference() {
+            full = self.placement.iter_ids().collect();
             &full
         } else {
-            self.placement.vms.on_server(server)
+            self.placement.on_server(server)
         };
         for &vm_id in candidates {
             self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
-            let state = self.placement.vms.get(vm_id).expect("candidate is live");
+            let state = self.placement.get(vm_id).expect("candidate is live");
             if state.server != server {
                 continue; // reference mode scans the whole arena
             }
@@ -1111,7 +1098,7 @@ impl Cluster {
             };
             let contention = self.raw_interference_on(vm_id, state, t, rng)[Resource::Cpu];
             let mut effective = (own * (1.0 + 2.0 * contention / 100.0)).min(100.0);
-            let d = self.placement.degradation[server];
+            let d = self.placement.records()[server].degradation;
             if d > 0.0 {
                 effective = (effective * (1.0 + d)).min(100.0);
             }
@@ -1140,7 +1127,6 @@ impl Cluster {
     ) -> Result<(f64, f64), SimError> {
         let state = self
             .placement
-            .vms
             .get(id)
             .ok_or(SimError::UnknownVm { vm: id })?;
         let interference = self.interference_from_neighbors(id, state, t, rng, false);
@@ -1176,8 +1162,10 @@ impl Cluster {
     /// read-only work (e.g. a detection pass) can proceed on a worker
     /// thread while the original cluster keeps evolving. The placement is
     /// shared copy-on-write: whichever side writes first while it is
-    /// shared copies it once (counted in
-    /// [`StorageStats::placement_copies`]), so neither side ever observes
+    /// shared copies its pointer tables once (counted in
+    /// [`StorageStats::placement_copies`]) and then only the server
+    /// records and VM states its writes touch (records counted in
+    /// [`StorageStats::server_copies`]), so neither side ever observes
     /// the other's writes and a snapshot that only reads never copies.
     /// The event log is deliberately not carried over: it is an
     /// append-only trace of the live cluster, and duplicating it would
@@ -1193,6 +1181,8 @@ impl Cluster {
             agg: Mutex::new(AggCache::default()),
             neighbor_visits: AtomicU64::new(0),
             placement_copies: 0,
+            server_copies: 0,
+            #[cfg(any(test, feature = "reference"))]
             reference_scan: self.reference_scan,
             // The *shared* memo is inherited: the snapshot observes the
             // same base placement, so published sweeps stay valid for it
@@ -1210,14 +1200,13 @@ impl Cluster {
         // `max_by_key` keeps the *last* maximal element, so the index enters
         // the key (reversed) to break free-thread ties toward the lowest
         // index, as documented.
-        (0..self.placement.servers.len())
-            .filter(|&i| self.placement.servers[i].can_host(vcpus, core_iso))
-            .max_by_key(|&i| {
-                (
-                    self.placement.servers[i].free_threads(),
-                    std::cmp::Reverse(i),
-                )
-            })
+        self.placement
+            .records()
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.server.can_host(vcpus, core_iso))
+            .max_by_key(|&(i, r)| (r.server.free_threads(), std::cmp::Reverse(i)))
+            .map(|(i, _)| i)
     }
 }
 

@@ -1,9 +1,10 @@
-//! Region-scale VM storage: a slot arena, a per-server residency index,
-//! and a memo cache for deterministic pressure aggregates.
+//! Region-scale VM storage: per-server placement records shared
+//! copy-on-write, a slot arena of per-VM states, and a memo cache for
+//! deterministic pressure aggregates.
 //!
 //! The cluster used to keep every VM in one global `BTreeMap<VmId,
 //! VmState>`, so each neighbor query walked the whole region and filtered
-//! by server — O(total VMs) per probe sample. [`VmArena`] replaces that
+//! by server — O(total VMs) per probe sample. [`Placement`] replaces that
 //! map with a dense `Vec`-backed arena (ids stay stable, churned slots go
 //! on a free list) plus a per-server residency index: `server -> sorted
 //! Vec<VmId>`. Neighbor queries now cost O(co-residents on one server).
@@ -13,6 +14,13 @@
 //! order, so the co-resident subsequence a query visits — and therefore
 //! the order of every floating-point accumulation and every RNG draw —
 //! is bit-identical to the old scan.
+//!
+//! Everything a write can change sits behind an `Arc` at the grain the
+//! write touches: one [`ServerRecord`] per server (slot map, resident ids,
+//! stochastic count, degradation) and one `Arc<VmState>` per VM. Copying
+//! a [`Placement`] therefore bumps pointers and clones no server and no
+//! VM; a write then copies only the records it names through
+//! [`Placement::own`] and the VM states it rewrites.
 //!
 //! [`AggCache`] memoizes *whole query results* (per observer, per time)
 //! rather than algebraic partial sums: per-step saturation
@@ -27,20 +35,104 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use bolt_workloads::PressureVector;
+use bolt_workloads::{LoadPattern, PressureVector, WorkloadProfile};
 
-use crate::vm::{VmId, VmState};
+use crate::isolation::IsolationConfig;
+use crate::server::Server;
+use crate::vm::{VmId, VmRole, VmState};
 
-/// Sentinel for "this id has no slot" in [`VmArena::slot_of`].
+/// Sentinel for "this id has no slot" in [`Placement::slot_of`].
 const NO_SLOT: u32 = u32::MAX;
 
-/// Dense struct-of-arrays VM storage with a per-server residency index.
+/// True if this VM's emitted pressure depends on the RNG stream.
+fn is_stochastic(state: &VmState) -> bool {
+    state.pressure_override.is_none() && state.profile.noise() > 0.0
+}
+
+/// True if this VM emits the same pressure at every instant and draws no
+/// RNG doing so: a pressure override, or a zero-noise profile under
+/// constant load. A zero-noise diurnal tenant is deterministic but not
+/// time-invariant.
+fn is_time_invariant(state: &VmState) -> bool {
+    state.pressure_override.is_some()
+        || (!is_stochastic(state) && matches!(state.profile.load(), LoadPattern::Constant { .. }))
+}
+
+/// One server's share of the placement: its slot map, its residents, and
+/// its degradation, shared copy-on-write between a cluster and its
+/// snapshots.
+///
+/// The record also memoizes the server's monitor utilization (see
+/// [`ServerRecord::utilization`]). A copied record starts with an empty
+/// memo, and so does a record taken for writing
+/// ([`Placement::record_mut`]).
+#[derive(Debug)]
+pub(crate) struct ServerRecord {
+    /// The slot map: which VM owns each hardware thread.
+    pub(crate) server: Server,
+    /// Resident VM ids, sorted ascending.
+    resident: Vec<VmId>,
+    /// Residents that are *stochastic* (no pressure override and a noisy
+    /// profile). Zero means every query against this server is a pure
+    /// function of cluster state and may be memoized.
+    stochastic: u32,
+    /// Capacity degradation in `[0, 1)`; 0 means full capacity. Only the
+    /// chaos engine sets this, so it stays zero (and the physics stay
+    /// branch-only, bit-identical) in chaos-off runs.
+    pub(crate) degradation: f64,
+    /// The monitor utilization and the isolation config it was computed
+    /// under. Filled only while every resident is time-invariant, so one
+    /// value answers every instant; shared by every instance holding this
+    /// record, and filled at most once (racing fills compute equal bytes).
+    utilization: OnceLock<(IsolationConfig, f64)>,
+}
+
+impl Clone for ServerRecord {
+    fn clone(&self) -> Self {
+        ServerRecord {
+            server: self.server.clone(),
+            resident: self.resident.clone(),
+            stochastic: self.stochastic,
+            degradation: self.degradation,
+            utilization: OnceLock::new(),
+        }
+    }
+}
+
+impl ServerRecord {
+    /// The memoized monitor utilization, if one was computed under
+    /// `isolation`.
+    pub(crate) fn utilization(&self, isolation: &IsolationConfig) -> Option<f64> {
+        match self.utilization.get() {
+            Some((iso, v)) if iso == isolation => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Memoizes the monitor utilization computed under `isolation`. The
+    /// caller has checked [`Placement::time_invariant`]. A record already
+    /// holding a value keeps it: a racing fill computed the same bytes, and
+    /// a fill under another isolation config is a miss, never wrong.
+    pub(crate) fn remember_utilization(&self, isolation: IsolationConfig, v: f64) {
+        let _ = self.utilization.set((isolation, v));
+    }
+}
+
+/// The placement tables a cluster shares copy-on-write with its
+/// snapshots: per-server records and the VM arena. Everything that
+/// answers "who runs where" lives here; memos, counters, the event log
+/// and the isolation config stay per cluster instance.
+///
+/// `Clone` copies pointers only. Writes go through [`Placement::own`],
+/// which copies the named server records if they are still shared, then
+/// through [`Placement::record_mut`] and the VM write methods.
 #[derive(Debug, Clone)]
-pub(crate) struct VmArena {
+pub(crate) struct Placement {
+    records: Vec<Arc<ServerRecord>>,
     /// Slot-indexed VM state; `None` marks a free (churned) slot.
-    state: Vec<Option<VmState>>,
+    state: Vec<Option<Arc<VmState>>>,
     /// Raw id -> slot, or [`NO_SLOT`]. Ids are monotonic and never reused,
     /// so this grows with total launches; each entry is 4 bytes.
     slot_of: Vec<u32>,
@@ -48,39 +140,87 @@ pub(crate) struct VmArena {
     free: Vec<u32>,
     /// Live VM count.
     live: usize,
-    /// Residency index: server -> resident VM ids, sorted ascending.
-    resident: Vec<Vec<VmId>>,
-    /// Per-server count of *stochastic* residents (no pressure override
-    /// and a noisy profile). Zero means every query against this server
-    /// is a pure function of cluster state and may be memoized.
-    stochastic: Vec<u32>,
+    /// Live VMs with [`VmRole::Friendly`].
+    friendly: usize,
     /// How many launches reused a churned slot (telemetry).
     pub(crate) slots_reused: u64,
     /// Residency-index mutations: inserts + removals (telemetry).
     pub(crate) residency_ops: u64,
 }
 
-/// True if this VM's emitted pressure depends on the RNG stream.
-fn is_stochastic(state: &VmState) -> bool {
-    state.pressure_override.is_none() && state.profile.noise() > 0.0
-}
-
-impl VmArena {
-    pub(crate) fn new(servers: usize) -> Self {
-        VmArena {
+impl Placement {
+    pub(crate) fn new(servers: Vec<Server>) -> Self {
+        Placement {
+            records: servers
+                .into_iter()
+                .map(|server| {
+                    Arc::new(ServerRecord {
+                        server,
+                        resident: Vec::new(),
+                        stochastic: 0,
+                        degradation: 0.0,
+                        utilization: OnceLock::new(),
+                    })
+                })
+                .collect(),
             state: Vec::new(),
             slot_of: Vec::new(),
             free: Vec::new(),
             live: 0,
-            resident: vec![Vec::new(); servers],
-            stochastic: vec![0; servers],
+            friendly: 0,
             slots_reused: 0,
             residency_ops: 0,
         }
     }
 
+    /// Every server's record, by index.
+    pub(crate) fn records(&self) -> &[Arc<ServerRecord>] {
+        &self.records
+    }
+
+    /// Makes the records of `servers` this placement's own, copying each
+    /// one still shared with another placement. Returns how many records
+    /// were copied. Every write names the servers it touches here first.
+    pub(crate) fn own(&mut self, servers: &[usize]) -> u64 {
+        let mut copied = 0;
+        for &server in servers {
+            let record = &mut self.records[server];
+            if Arc::get_mut(record).is_none() {
+                copied += 1;
+            }
+            Arc::make_mut(record);
+        }
+        copied
+    }
+
+    /// Write access to one server's record, which the write must have
+    /// named in [`Placement::own`]. Drops the record's utilization memo:
+    /// whatever the write changes, the memo no longer answers for it.
+    pub(crate) fn record_mut(&mut self, server: usize) -> &mut ServerRecord {
+        let record =
+            Arc::get_mut(&mut self.records[server]).expect("a write names every server it touches");
+        record.utilization.take();
+        record
+    }
+
+    /// True if every resident of `server` is time-invariant (see
+    /// [`is_time_invariant`]), so its monitor utilization may be memoized.
+    pub(crate) fn time_invariant(&self, server: usize) -> bool {
+        let record = &self.records[server];
+        record.stochastic == 0
+            && record
+                .resident
+                .iter()
+                .all(|&id| self.get(id).is_some_and(is_time_invariant))
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.live
+    }
+
+    /// Live friendly VMs.
+    pub(crate) fn friendly(&self) -> usize {
+        self.friendly
     }
 
     /// Total slots ever allocated (live + free).
@@ -97,7 +237,14 @@ impl VmArena {
         if slot == NO_SLOT {
             return None;
         }
-        self.state[slot as usize].as_ref()
+        self.state[slot as usize].as_deref()
+    }
+
+    /// Write access to a live VM's state, copying it first if another
+    /// placement still shares it.
+    fn vm_mut(&mut self, id: VmId) -> &mut VmState {
+        let slot = self.slot_of[id.raw() as usize];
+        Arc::make_mut(self.state[slot as usize].as_mut().expect("vm is live"))
     }
 
     /// All live ids in ascending (= launch) order.
@@ -112,15 +259,20 @@ impl VmArena {
     /// The VMs resident on `server`, sorted by ascending id. Out-of-range
     /// servers host nothing.
     pub(crate) fn on_server(&self, server: usize) -> &[VmId] {
-        self.resident.get(server).map(Vec::as_slice).unwrap_or(&[])
+        self.records
+            .get(server)
+            .map(|r| r.resident.as_slice())
+            .unwrap_or(&[])
     }
 
-    /// Stochastic-resident count for `server` (see [`VmArena::stochastic`]).
+    /// Stochastic-resident count for `server` (see
+    /// [`ServerRecord::stochastic`]).
     pub(crate) fn stochastic_on(&self, server: usize) -> u32 {
-        self.stochastic.get(server).copied().unwrap_or(0)
+        self.records.get(server).map_or(0, |r| r.stochastic)
     }
 
-    /// Inserts a freshly-launched VM. The id must be new.
+    /// Inserts a freshly-launched VM. The id must be new, and the write
+    /// must own the VM's server.
     pub(crate) fn insert(&mut self, id: VmId, state: VmState) {
         let raw = id.raw() as usize;
         if raw >= self.slot_of.len() {
@@ -138,13 +290,22 @@ impl VmArena {
             }
         };
         self.slot_of[raw] = slot;
-        self.index_add(id, &state);
-        self.state[slot as usize] = Some(state);
+        // New launches carry the highest id so far, so this is a push;
+        // binary search keeps the index correct for any insertion order.
+        let stochastic = is_stochastic(&state);
+        let record = self.record_mut(state.server);
+        let pos = record.resident.binary_search(&id).unwrap_err();
+        record.resident.insert(pos, id);
+        record.stochastic += u32::from(stochastic);
+        self.residency_ops += 1;
+        self.friendly += usize::from(state.role == VmRole::Friendly);
+        self.state[slot as usize] = Some(Arc::new(state));
         self.live += 1;
     }
 
-    /// Removes a VM, returning its state and recycling its slot.
-    pub(crate) fn remove(&mut self, id: VmId) -> Option<VmState> {
+    /// Removes a VM, returning its state and recycling its slot. The write
+    /// must own the VM's server.
+    pub(crate) fn remove(&mut self, id: VmId) -> Option<Arc<VmState>> {
         let raw = id.raw() as usize;
         let slot = *self.slot_of.get(raw)?;
         if slot == NO_SLOT {
@@ -154,39 +315,44 @@ impl VmArena {
         self.slot_of[raw] = NO_SLOT;
         self.free.push(slot);
         self.live -= 1;
-        self.index_remove(id, &state);
+        self.friendly -= usize::from(state.role == VmRole::Friendly);
+        let record = self.record_mut(state.server);
+        let pos = record.resident.binary_search(&id).expect("indexed");
+        record.resident.remove(pos);
+        record.stochastic -= u32::from(is_stochastic(&state));
+        self.residency_ops += 1;
         Some(state)
     }
 
-    /// Moves a VM to another server with a fresh thread assignment.
+    /// Moves a VM to another server with a fresh thread assignment. The
+    /// write must own both servers.
     pub(crate) fn relocate(&mut self, id: VmId, to: usize, threads: Vec<usize>) {
-        let slot = self.slot_of[id.raw() as usize];
-        let state = self.state[slot as usize].as_mut().expect("vm is live");
-        let stochastic = is_stochastic(state);
+        let state = self.vm_mut(id);
+        let stochastic = u32::from(is_stochastic(state));
         let from = state.server;
         state.server = to;
         state.threads = threads;
         // Remove from the old server's index, insert into the new one.
-        let pos = self.resident[from].binary_search(&id).expect("indexed");
-        self.resident[from].remove(pos);
-        let pos = self.resident[to].binary_search(&id).unwrap_err();
-        self.resident[to].insert(pos, id);
+        let record = self.record_mut(from);
+        let pos = record.resident.binary_search(&id).expect("indexed");
+        record.resident.remove(pos);
+        record.stochastic -= stochastic;
+        let record = self.record_mut(to);
+        let pos = record.resident.binary_search(&id).unwrap_err();
+        record.resident.insert(pos, id);
+        record.stochastic += stochastic;
         self.residency_ops += 2;
-        if stochastic {
-            self.stochastic[from] -= 1;
-            self.stochastic[to] += 1;
-        }
     }
 
     /// Replaces a VM's workload profile (and, if re-placed, its threads).
+    /// The write must own the VM's server.
     pub(crate) fn set_profile(
         &mut self,
         id: VmId,
-        profile: bolt_workloads::WorkloadProfile,
+        profile: WorkloadProfile,
         threads: Option<Vec<usize>>,
     ) {
-        let slot = self.slot_of[id.raw() as usize];
-        let state = self.state[slot as usize].as_mut().expect("vm is live");
+        let state = self.vm_mut(id);
         let was = is_stochastic(state);
         state.profile = profile;
         if let Some(t) = threads {
@@ -197,23 +363,23 @@ impl VmArena {
         self.stochastic_delta(server, was, now);
     }
 
-    /// Restores a VM's thread assignment (failed-swap rollback).
+    /// Restores a VM's thread assignment (failed-swap rollback). The write
+    /// must own the VM's server.
     pub(crate) fn set_threads(&mut self, id: VmId, threads: Vec<usize>) {
-        let slot = self.slot_of[id.raw() as usize];
-        let state = self.state[slot as usize].as_mut().expect("vm is live");
+        let state = self.vm_mut(id);
         state.threads = threads;
+        // Taking the record drops its utilization memo.
+        let server = state.server;
+        self.record_mut(server);
     }
 
     /// Sets or clears a VM's pressure override. Returns `false` for an
-    /// unknown id.
+    /// unknown id. The write must own the VM's server.
     pub(crate) fn set_override(&mut self, id: VmId, pressure: Option<PressureVector>) -> bool {
-        let Some(&slot) = self.slot_of.get(id.raw() as usize) else {
-            return false;
-        };
-        if slot == NO_SLOT {
+        if self.get(id).is_none() {
             return false;
         }
-        let state = self.state[slot as usize].as_mut().expect("slot maps a VM");
+        let state = self.vm_mut(id);
         let was = is_stochastic(state);
         state.pressure_override = pressure;
         let now = is_stochastic(state);
@@ -222,46 +388,33 @@ impl VmArena {
         true
     }
 
+    /// Applies a VM's stochastic flip to its server's count. Taking the
+    /// record also drops its utilization memo, which every VM write needs.
     fn stochastic_delta(&mut self, server: usize, was: bool, now: bool) {
+        let record = self.record_mut(server);
         if was && !now {
-            self.stochastic[server] -= 1;
+            record.stochastic -= 1;
         } else if !was && now {
-            self.stochastic[server] += 1;
-        }
-    }
-
-    fn index_add(&mut self, id: VmId, state: &VmState) {
-        // New launches carry the highest id so far, so this is a push;
-        // binary search keeps the index correct for any insertion order.
-        let list = &mut self.resident[state.server];
-        let pos = list.binary_search(&id).unwrap_err();
-        list.insert(pos, id);
-        self.residency_ops += 1;
-        if is_stochastic(state) {
-            self.stochastic[state.server] += 1;
-        }
-    }
-
-    fn index_remove(&mut self, id: VmId, state: &VmState) {
-        let list = &mut self.resident[state.server];
-        let pos = list.binary_search(&id).expect("indexed");
-        list.remove(pos);
-        self.residency_ops += 1;
-        if is_stochastic(state) {
-            self.stochastic[state.server] -= 1;
+            record.stochastic += 1;
         }
     }
 }
 
 /// Memo cache for deterministic pressure aggregates.
 ///
-/// Entries are keyed by observer (raw id or server index) and hold the
+/// Entries are keyed by observer id and hold the
 /// query time's bit pattern alongside the finished result, so a probe
 /// that re-samples at the same `t` hits while any time advance naturally
 /// misses and overwrites — the map stays bounded by the number of
 /// observers, never by the number of distinct times. Every cluster
 /// mutation (launch, terminate, migrate, profile swap, pressure
 /// override, degradation, isolation change) clears the cache outright.
+///
+/// The migration monitor's per-server utilization is not memoized here:
+/// the monitor reads each server once per check at a new time, so a
+/// time-keyed entry would never hit. It is memoized per
+/// [`ServerRecord`] instead, time-free, where every resident is
+/// time-invariant.
 #[derive(Debug, Default)]
 pub(crate) struct AggCache {
     /// (raw id, couple_progress) -> (t bits, interference vector).
@@ -270,8 +423,6 @@ pub(crate) struct AggCache {
     per_core: HashMap<(u64, usize), (u64, PressureVector)>,
     /// raw id -> (t bits, probe_alloc bits, LLC sweep response).
     sweep: HashMap<u64, (u64, u64, f64)>,
-    /// server -> (t bits, CPU utilization).
-    utilization: HashMap<usize, (u64, f64)>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
 }
@@ -283,7 +434,6 @@ impl AggCache {
         self.neighbors.clear();
         self.per_core.clear();
         self.sweep.clear();
-        self.utilization.clear();
     }
 
     pub(crate) fn get_neighbors(
@@ -345,23 +495,6 @@ impl AggCache {
 
     pub(crate) fn put_sweep(&mut self, id: u64, t_bits: u64, alloc_bits: u64, v: f64) {
         self.sweep.insert(id, (t_bits, alloc_bits, v));
-    }
-
-    pub(crate) fn get_utilization(&mut self, server: usize, t_bits: u64) -> Option<f64> {
-        match self.utilization.get(&server) {
-            Some(&(tb, v)) if tb == t_bits => {
-                self.hits += 1;
-                Some(v)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    pub(crate) fn put_utilization(&mut self, server: usize, t_bits: u64, v: f64) {
-        self.utilization.insert(server, (t_bits, v));
     }
 }
 
@@ -545,7 +678,7 @@ impl SweepMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::VmRole;
+    use crate::server::ServerSpec;
     use bolt_workloads::{catalog, DatasetScale, Resource};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -572,9 +705,17 @@ mod tests {
         }
     }
 
+    fn placement(servers: usize) -> Placement {
+        Placement::new(
+            (0..servers)
+                .map(|_| Server::new(ServerSpec::xeon()).unwrap())
+                .collect(),
+        )
+    }
+
     #[test]
     fn slots_are_reused_ids_are_not() {
-        let mut arena = VmArena::new(2);
+        let mut arena = placement(2);
         arena.insert(VmId::from_raw(0), state(0, true));
         arena.insert(VmId::from_raw(1), state(1, true));
         assert_eq!(arena.slots(), 2);
@@ -591,7 +732,7 @@ mod tests {
 
     #[test]
     fn residency_index_stays_sorted_through_churn() {
-        let mut arena = VmArena::new(3);
+        let mut arena = placement(3);
         for raw in 0..6 {
             arena.insert(VmId::from_raw(raw), state((raw % 3) as usize, true));
         }
@@ -611,7 +752,7 @@ mod tests {
 
     #[test]
     fn stochastic_counts_track_overrides_and_swaps() {
-        let mut arena = VmArena::new(1);
+        let mut arena = placement(1);
         let id = VmId::from_raw(0);
         arena.insert(id, state(0, true));
         assert_eq!(arena.stochastic_on(0), 1);
@@ -627,6 +768,86 @@ mod tests {
         arena.remove(id).unwrap();
         assert_eq!(arena.stochastic_on(0), 0);
         assert!(!arena.set_override(id, None), "gone VMs report unknown");
+    }
+
+    #[test]
+    fn a_copy_shares_every_record_until_a_write_owns_it() {
+        let mut base = placement(3);
+        for raw in 0..3 {
+            base.insert(VmId::from_raw(raw), state(raw as usize, false));
+        }
+        let mut copy = base.clone();
+        let same_record =
+            |a: &Placement, b: &Placement, s: usize| Arc::ptr_eq(&a.records()[s], &b.records()[s]);
+        assert!((0..3).all(|s| same_record(&base, &copy, s)));
+
+        // Owning copies only the named records, and each once.
+        assert_eq!(copy.own(&[1, 1]), 1);
+        assert_eq!(copy.own(&[1]), 0);
+        assert!(same_record(&base, &copy, 0) && same_record(&base, &copy, 2));
+        assert!(!same_record(&base, &copy, 1));
+
+        // A VM write copies that VM's state only; the original keeps its own.
+        assert!(copy.set_override(VmId::from_raw(1), None));
+        assert!(copy
+            .get(VmId::from_raw(1))
+            .unwrap()
+            .pressure_override
+            .is_none());
+        assert!(base
+            .get(VmId::from_raw(1))
+            .unwrap()
+            .pressure_override
+            .is_some());
+        assert!(std::ptr::eq(
+            copy.get(VmId::from_raw(0)).unwrap(),
+            base.get(VmId::from_raw(0)).unwrap()
+        ));
+        assert_eq!((base.stochastic_on(1), copy.stochastic_on(1)), (0, 1));
+    }
+
+    #[test]
+    fn the_utilization_memo_follows_isolation_and_writes() {
+        let iso = IsolationConfig::cloud_default();
+        let mut base = placement(2);
+        base.insert(VmId::from_raw(0), state(0, false));
+        assert!(base.time_invariant(0), "an override is time-invariant");
+        base.records()[0].remember_utilization(iso, 42.0);
+        assert_eq!(base.records()[0].utilization(&iso), Some(42.0));
+        let other = IsolationConfig {
+            mechanisms: crate::isolation::Mechanisms {
+                cache_partitioning: true,
+                ..crate::isolation::Mechanisms::none()
+            },
+            ..iso
+        };
+        assert_eq!(base.records()[0].utilization(&other), None);
+
+        // A copied record starts empty; the shared original keeps its memo.
+        let mut copy = base.clone();
+        assert_eq!(copy.records()[0].utilization(&iso), Some(42.0));
+        copy.own(&[0]);
+        assert_eq!(copy.records()[0].utilization(&iso), None);
+        assert_eq!(base.records()[0].utilization(&iso), Some(42.0));
+        // A write to an unshared record empties it too.
+        base.record_mut(0).degradation = 0.1;
+        assert_eq!(base.records()[0].utilization(&iso), None);
+
+        // Zero noise is not enough: the load must be constant as well.
+        let mut quiet = state(1, true);
+        quiet.profile = quiet.profile.with_noise(0.0);
+        let diurnal = quiet.profile.clone().with_load(LoadPattern::Diurnal {
+            low: 0.2,
+            high: 0.8,
+            phase: 0.0,
+        });
+        quiet.profile = quiet.profile.with_load(LoadPattern::steady());
+        assert_eq!(base.own(&[1]), 1, "still shared with the copy");
+        base.insert(VmId::from_raw(1), quiet);
+        assert!(base.time_invariant(1));
+        base.set_profile(VmId::from_raw(1), diurnal, None);
+        assert_eq!(base.stochastic_on(1), 0, "deterministic");
+        assert!(!base.time_invariant(1), "but time-varying");
     }
 
     #[test]

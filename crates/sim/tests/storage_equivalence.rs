@@ -1,24 +1,30 @@
-//! Storage-layer equivalence: the arena + residency index + aggregate
-//! cache must be observationally identical to the old full-scan storage.
+//! Storage-layer equivalence: the per-server records, the residency index
+//! and every memo must be observationally identical to the old full-scan
+//! storage.
 //!
 //! The cluster keeps a `#[doc(hidden)]` reference mode
-//! ([`Cluster::set_reference_scan`]) that walks the whole arena in
-//! ascending-id order with the aggregate cache disabled — the exact
+//! ([`Cluster::set_reference_scan`], compiled in by the crate's
+//! `reference` feature, which this crate's tests enable) that walks the
+//! whole arena in ascending-id order with every memo disabled — the exact
 //! behaviour of the original `BTreeMap` storage. These tests drive an
 //! indexed cluster and a reference cluster through the same random
 //! churn (launches, terminations, migrations, profile swaps, pressure
-//! overrides, degradation, and compiled chaos plans) and require every
-//! observable — interference, per-core interference, cache-sweep
-//! response, utilization, performance, the trace, and the state of the
-//! shared RNG stream — to match bit for bit.
+//! overrides, degradation, isolation changes, and compiled chaos plans)
+//! and require every observable — interference, per-core interference,
+//! cache-sweep response, utilization at two instants, performance, the
+//! trace, and the state of the shared RNG stream — to match bit for bit.
 //!
 //! A separate regression pins the locality contract: a probe's
 //! neighbor-visit count depends only on its own host's population, never
 //! on the rest of the region.
 
+use std::collections::BTreeSet;
+
 use bolt_sim::vm::VmRole;
-use bolt_sim::{ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, SweepMemo, VmId};
-use bolt_workloads::{catalog, DatasetScale, PressureVector, WorkloadProfile};
+use bolt_sim::{
+    ChaosConfig, Cluster, FaultPlan, IsolationConfig, Mechanisms, ServerSpec, SweepMemo, VmId,
+};
+use bolt_workloads::{catalog, DatasetScale, LoadPattern, PressureVector, WorkloadProfile};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,7 +33,10 @@ const SERVERS: usize = 4;
 
 /// A catalog profile for op slot `i`: half the families keep their
 /// stochastic noise (exercising the uncached path), half are zeroed
-/// (exercising the aggregate cache).
+/// (exercising the aggregate cache). Of the zeroed pair, SPEC runs at
+/// steady load, so it is time-invariant and its server's monitor
+/// utilization may be memoized, while memcached keeps its diurnal load:
+/// deterministic, but different at every instant, so never memoized.
 fn profile(i: usize, rng: &mut StdRng) -> WorkloadProfile {
     match i % 4 {
         0 => catalog::memcached::profile(&catalog::memcached::Variant::Mixed, rng),
@@ -39,10 +48,12 @@ fn profile(i: usize, rng: &mut StdRng) -> WorkloadProfile {
 }
 
 /// Applies one op schedule to `cluster` with its own RNG stream, and
-/// returns the RNG so callers can compare subsequent draws.
-fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId> {
+/// returns the servers its writes named, whether or not they succeeded.
+fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> BTreeSet<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut live: Vec<VmId> = Vec::new();
+    let mut live: Vec<VmId> = cluster.vm_ids().collect();
+    let mut written = BTreeSet::new();
+    let server_of = |cluster: &Cluster, id: VmId| cluster.vm(id).expect("vm is live").server;
     for (i, &(op, pick)) in ops.iter().enumerate() {
         match op {
             0..=2 => {
@@ -52,11 +63,13 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
                         .launch_on(s, p, VmRole::Friendly, i as f64)
                         .expect("server reported capacity");
                     live.push(id);
+                    written.insert(s);
                 }
             }
             3 => {
                 if !live.is_empty() {
                     let id = live.remove(pick % live.len());
+                    written.insert(server_of(cluster, id));
                     cluster.terminate(id).expect("vm is live");
                 }
             }
@@ -67,12 +80,14 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
                     let (from, vcpus) = (state.server, state.vcpus());
                     if let Some(to) = cluster.least_loaded_server(vcpus).filter(|&s| s != from) {
                         cluster.migrate(id, to).expect("target has room");
+                        written.extend([from, to]);
                     }
                 }
             }
             5 => {
                 if !live.is_empty() {
                     let id = live[pick % live.len()];
+                    written.insert(server_of(cluster, id));
                     let _ = cluster.swap_profile(id, profile(i + 1, &mut rng));
                 }
             }
@@ -86,6 +101,7 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
                     } else {
                         None
                     };
+                    written.insert(server_of(cluster, id));
                     cluster.set_pressure_override(id, o).expect("vm is live");
                 }
             }
@@ -94,10 +110,11 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
                 cluster
                     .set_degradation(pick % SERVERS, factor, i as f64)
                     .expect("server index in range");
+                written.insert(pick % SERVERS);
             }
         }
     }
-    live
+    written
 }
 
 /// Every observable of `a` and `b` at time `t`, compared bit for bit.
@@ -136,10 +153,20 @@ fn assert_observables_match(a: &Cluster, b: &Cluster, t: f64, seed: u64) {
             .expect("core 0");
         assert_eq!(ca, cb, "per-core interference diverged for {id:?}");
     }
+    // The monitor reads each server once per check, at a new instant each
+    // time; a quarter day apart, a diurnal tenant's load has moved.
+    for at in [t, t + 21_600.0] {
+        for server in 0..SERVERS {
+            let ua = a.cpu_utilization(server, at, &mut rng_a).expect("in range");
+            let ub = b.cpu_utilization(server, at, &mut rng_b).expect("in range");
+            assert_eq!(
+                ua.to_bits(),
+                ub.to_bits(),
+                "utilization diverged on server {server} at t={at}"
+            );
+        }
+    }
     for server in 0..SERVERS {
-        let ua = a.cpu_utilization(server, t, &mut rng_a).expect("in range");
-        let ub = b.cpu_utilization(server, t, &mut rng_b).expect("in range");
-        assert_eq!(ua.to_bits(), ub.to_bits(), "utilization diverged");
         assert_eq!(a.vms_on(server), b.vms_on(server), "residency diverged");
     }
     // The streams themselves must be in the same state afterwards.
@@ -203,6 +230,110 @@ proptest! {
             assert_observables_match(&indexed, &reference, t, seed ^ 0xBEEF);
         }
         prop_assert_eq!(indexed.events(), reference.events(), "traces diverged");
+    }
+}
+
+/// A region-style host set: an adversary with a pressure override on every
+/// server, next to steady zero-noise tenants (the service's region
+/// tenants), plus one zero-noise diurnal tenant on the first
+/// `diurnal_servers` servers. Every all-steady server is time-invariant,
+/// so the monitor memo engages there.
+fn region_cluster(seed: u64, diurnal_servers: usize) -> Cluster {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut c = Cluster::new(
+        SERVERS,
+        ServerSpec::xeon(),
+        IsolationConfig::cloud_default(),
+    )
+    .expect("cluster");
+    for server in 0..SERVERS {
+        let adversary = c
+            .launch_on(
+                server,
+                profile(0, &mut rng).with_vcpus(2),
+                VmRole::Adversarial,
+                0.0,
+            )
+            .expect("fits");
+        c.set_pressure_override(adversary, Some(PressureVector::zero()))
+            .expect("vm is live");
+        for k in 0..3 {
+            let steady = profile(1, &mut rng).with_noise(0.0).with_vcpus(2);
+            let tenant = if k == 0 && server < diurnal_servers {
+                steady.with_load(LoadPattern::Diurnal {
+                    low: 0.2,
+                    high: 0.9,
+                    phase: 0.3,
+                })
+            } else {
+                steady.with_load(LoadPattern::steady())
+            };
+            c.launch_on(server, tenant, VmRole::Friendly, 0.0)
+                .expect("fits");
+        }
+    }
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Churned hunts over one region-style base, as in the service: every
+    /// hunt runs a chaos plan on its own snapshot, so migration checks
+    /// read records whose monitor memos the base or an earlier hunt
+    /// filled, while arrivals and swaps add noisy tenants and
+    /// degradations and migrations rewrite records. Each hunt matches a
+    /// reference-scan twin at every check, including after switching
+    /// its isolation config halfway, and so do the fault counts and the
+    /// traces the plans' RNG streams drive.
+    #[test]
+    fn region_churn_monitor_matches_reference(
+        seed in 0u64..200,
+        intensity in 0.2f64..1.0,
+        diurnal_servers in 0usize..3,
+    ) {
+        let base = region_cluster(seed, diurnal_servers);
+        let mut reference_base = region_cluster(seed, diurnal_servers);
+        reference_base.set_reference_scan(true);
+        // The base fills the shared memos every hunt then starts from.
+        assert_observables_match(&base, &reference_base, 1.0, seed ^ 0xBA5E);
+
+        // Pinning closes the scheduler-float channel the monitor's CPU
+        // contention reads, so a memo filled under the old config is wrong
+        // under this one.
+        let pinned = IsolationConfig {
+            mechanisms: Mechanisms {
+                thread_pinning: true,
+                cache_partitioning: true,
+                ..Mechanisms::none()
+            },
+            ..IsolationConfig::cloud_default()
+        };
+        let config = ChaosConfig::with_intensity(intensity);
+        for hunt in 0..3u64 {
+            let mut a = base.snapshot();
+            let mut b = reference_base.snapshot();
+            let mut plan_a = FaultPlan::compile(&config, seed, hunt, 0.0, 300.0);
+            let mut plan_b = FaultPlan::compile(&config, seed, hunt, 0.0, 300.0);
+            let protected = a.vms_on(0).to_vec();
+            plan_a.protect(&protected);
+            plan_b.protect(&protected);
+            for step in 1..=5 {
+                if step == 3 {
+                    a.set_isolation(pinned);
+                    b.set_isolation(pinned);
+                }
+                let t = step as f64 * 60.0;
+                let na = plan_a.apply_due(&mut a, t).expect("plan applies");
+                let nb = plan_b.apply_due(&mut b, t).expect("plan applies");
+                prop_assert_eq!(na, nb, "fault application diverged");
+                assert_observables_match(&a, &b, t, seed ^ hunt ^ 0xBEEF);
+            }
+            prop_assert_eq!(a.events(), b.events(), "traces diverged");
+            prop_assert!(a.storage_stats().placement_copies <= 1);
+        }
+        // The hunts' writes never reached the base.
+        assert_observables_match(&base, &reference_base, 400.0, seed ^ 0x4EAD);
     }
 }
 
@@ -325,6 +456,7 @@ proptest! {
             apply_ops(twin, &shared_ops, seed);
         }
 
+        let (mut base_written, mut snap_written) = (BTreeSet::new(), BTreeSet::new());
         let (base_a, base_b) = base_ops.split_at(base_ops.len() / 2);
         let (snap_a, snap_b) = snap_ops.split_at(snap_ops.len() / 2);
         for (half, (base_half, snap_half)) in [(base_a, snap_a), (base_b, snap_b)]
@@ -332,9 +464,9 @@ proptest! {
             .enumerate()
         {
             let half_seed = seed ^ (0xA5 << half);
-            apply_ops(&mut base, base_half, half_seed);
+            base_written.extend(apply_ops(&mut base, base_half, half_seed));
             apply_ops(&mut base_twin, base_half, half_seed);
-            apply_ops(&mut snap, snap_half, half_seed ^ 0x5A);
+            snap_written.extend(apply_ops(&mut snap, snap_half, half_seed ^ 0x5A));
             apply_ops(&mut snap_twin, snap_half, half_seed ^ 0x5A);
 
             assert_observables_match(&base, &base_twin, t, seed ^ 0xBA5E);
@@ -353,6 +485,10 @@ proptest! {
         prop_assert_eq!(reader.storage_stats().placement_copies, 0);
         prop_assert!(base.storage_stats().placement_copies <= 1);
         prop_assert!(snap.storage_stats().placement_copies <= 1);
+        // Writes copy only the server records they touch, each at most once.
+        prop_assert_eq!(reader.storage_stats().server_copies, 0);
+        prop_assert!(base.storage_stats().server_copies <= base_written.len() as u64);
+        prop_assert!(snap.storage_stats().server_copies <= snap_written.len() as u64);
     }
 
     /// The cross-snapshot sweep memo is byte-invisible: a cluster whose

@@ -134,6 +134,21 @@ if [ "$RSERVE_ELAPSED" -gt 60 ]; then
   echo "region-serve smoke: took ${RSERVE_ELAPSED}s (budget 60s)"; exit 1
 fi
 
+echo "==> churned region-serve smoke (2k servers, chaos on: Serial vs Threads(3) must move no bytes)"
+# Under churn every lane's migration checks fill and read the monitor
+# utilization memo on server records shared by all snapshots; concurrent
+# fills must leave the report byte-identical.
+CSERVE_START=$SECONDS
+cargo run --release -q -- serve --region --servers 2000 --requests 60 --storm 0.5 \
+  --chaos-intensity 0.3 --threads 1 > "$REPLAY_DIR/cserve1.txt"
+cargo run --release -q -- serve --region --servers 2000 --requests 60 --storm 0.5 \
+  --chaos-intensity 0.3 --threads 3 > "$REPLAY_DIR/cserve3.txt"
+CSERVE_ELAPSED=$((SECONDS - CSERVE_START))
+cmp "$REPLAY_DIR/cserve1.txt" "$REPLAY_DIR/cserve3.txt"
+if [ "$CSERVE_ELAPSED" -gt 60 ]; then
+  echo "churned region-serve smoke: took ${CSERVE_ELAPSED}s (budget 60s)"; exit 1
+fi
+
 echo "==> idle invariance (10x sparser arrivals: same verdicts, same wall-time ballpark)"
 IDLE_START=$SECONDS
 cargo run --release -q -- serve --region --servers 500 --requests 60 --rate 2 \
